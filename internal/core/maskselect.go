@@ -375,6 +375,171 @@ func (d *Decoder[T]) DecompressSelected(blk *Block[T], sv *SelectionVector, vals
 	return vals[:k]
 }
 
+// AggregateSelected computes Count, Sum, Min and Max over the values of
+// blk at the rows sv selects, without widening a single value into a
+// gather buffer. Every group with surviving rows is unpacked once by the
+// width-specialized group kernel; the group's mask words are copied, the
+// bits of its exception slots cleared (their codes are bogus patch-list
+// gaps), and selected exceptions are folded on their true values. The
+// remaining rows fold per scheme:
+//
+//   - PFOR in code space: count, code sum and code min/max, with
+//     Sum = Count*Base + codeSum and Min/Max = Base + minC/maxC derived
+//     once per block (the code-to-value mapping is monotone).
+//   - PDICT through the dictionary, dict[c].
+//   - PFOR-DELTA over its decoded group buffer.
+//
+// All-ones mask words fold 32 rows in a straight loop. sv must cover
+// exactly blk.N rows.
+func (d *Decoder[T]) AggregateSelected(blk *Block[T], sv *SelectionVector) Aggregate[T] {
+	if sv.n != blk.N {
+		panic(fmt.Sprintf("core: selection of %d rows aggregated over block of %d", sv.n, blk.N))
+	}
+	pfor := blk.Scheme == SchemePFOR
+	delta := blk.Scheme == SchemePFORDelta
+	if !pfor && !delta && blk.Scheme != SchemePDict {
+		panic("core: cannot aggregate scheme " + blk.Scheme.String())
+	}
+	s := d.selectScratch()
+	raw := d.scratch(GroupSize)
+	mask := sv.words
+	dict := blk.Dict
+	vf := newFold[T]()      // exceptions, PDICT and PFOR-DELTA values
+	cf := newFold[uint32]() // PFOR codes
+	numGroups := blk.NumGroups()
+	for g := 0; g < numGroups; g++ {
+		gStart, gEnd := groupBounds(blk, g)
+		words := mask[gStart>>5 : (gEnd+31)>>5]
+		if allZero(words) {
+			continue
+		}
+		n := gEnd - gStart
+		unpackGroup(blk, g, n, raw)
+		if delta {
+			decompressPFORDeltaGroup(blk, g, raw, s.vbuf[:n])
+			vf.foldMasked(s.vbuf[:n], words)
+			continue
+		}
+		var gm [GroupSize / 32]uint32
+		live := gm[:copy(gm[:], words)]
+		if es, ee := blk.groupExc(g); es != ee {
+			pos := blk.patchStart(g)
+			for k := es; k < ee; k++ {
+				bit := uint32(1) << (uint(pos) & 31)
+				if gm[pos>>5]&bit != 0 {
+					gm[pos>>5] &^= bit
+					vf.add(blk.Exc[k])
+				}
+				pos += int(raw[pos]) + 1
+			}
+		}
+		if pfor {
+			cf.foldMasked(raw[:n], live)
+			continue
+		}
+		vals := s.vbuf[:n]
+		for w, m := range live {
+			if m != 0 {
+				for i := w << 5; i < min(w<<5+32, n); i++ {
+					vals[i] = dict[raw[i]]
+				}
+			}
+		}
+		vf.foldMasked(vals, live)
+	}
+	agg := vf.aggregate()
+	if cf.count > 0 {
+		agg.Merge(Aggregate[T]{
+			Count: cf.count,
+			Sum:   int64(cf.count)*int64(blk.Base) + cf.sum,
+			Min:   blk.Base + T(cf.min),
+			Max:   blk.Base + T(cf.max),
+		})
+	}
+	return agg
+}
+
+// AggregateValues folds vals[i] for every row i sv selects — the
+// aggregate over already-decoded values (raw and baseline frames), with
+// the same branch-free fold AggregateSelected uses. sv must cover exactly
+// len(vals) rows.
+func AggregateValues[T Integer](vals []T, sv *SelectionVector) Aggregate[T] {
+	if sv.n != len(vals) {
+		panic(fmt.Sprintf("core: selection of %d rows aggregated over %d values", sv.n, len(vals)))
+	}
+	f := newFold[T]()
+	f.foldMasked(vals, sv.words)
+	return f.aggregate()
+}
+
+// fold is a running Count/Sum/Min/Max whose min and max start at the
+// type's extremes, so every step is branch-free.
+type fold[T Integer] struct {
+	count    int
+	sum      int64
+	min, max T
+}
+
+func newFold[T Integer]() fold[T] {
+	lo, hi := valueBounds[T]()
+	return fold[T]{min: hi, max: lo}
+}
+
+// valueBounds returns the smallest and largest values of T.
+func valueBounds[T Integer]() (lo, hi T) {
+	hi = ^T(0)
+	if hi < 0 { // signed: ^0 is -1
+		hi = T(typeMask[T]() >> 1)
+		lo = ^hi
+	}
+	return lo, hi
+}
+
+func (f *fold[T]) add(v T) {
+	f.count++
+	f.sum += int64(v)
+	f.min = min(f.min, v)
+	f.max = max(f.max, v)
+}
+
+// foldMasked folds vals[i] for every bit i set in words, 32 values per
+// word. The accumulators live in locals for the duration of the loop.
+func (f *fold[T]) foldMasked(vals []T, words []uint32) {
+	count, sum, lo, hi := f.count, f.sum, f.min, f.max
+	for w, m := range words {
+		if m == 0 {
+			continue
+		}
+		vs := vals[w<<5:]
+		if m == ^uint32(0) {
+			for _, v := range vs[:32] {
+				sum += int64(v)
+				lo = min(lo, v)
+				hi = max(hi, v)
+			}
+			count += 32
+			continue
+		}
+		count += bits.OnesCount32(m)
+		for ; m != 0; m &= m - 1 {
+			v := vs[bits.TrailingZeros32(m)]
+			sum += int64(v)
+			lo = min(lo, v)
+			hi = max(hi, v)
+		}
+	}
+	f.count, f.sum, f.min, f.max = count, sum, lo, hi
+}
+
+// aggregate returns the fold as an Aggregate (the zero Aggregate when
+// nothing was folded).
+func (f *fold[T]) aggregate() Aggregate[T] {
+	if f.count == 0 {
+		return Aggregate[T]{}
+	}
+	return Aggregate[T]{Count: f.count, Sum: f.sum, Min: f.min, Max: f.max}
+}
+
 // DecompressSelectedCodes appends, for every row selected by sv in row
 // order, the row's PDICT dictionary code — or -1 for exception slots,
 // whose packed codes are bogus patch-list gaps and whose true values live

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -51,6 +52,10 @@ func checkMaskCompose[T Integer](t *testing.T, name string, blk *Block[T], r1, r
 	if !slices.Equal(gotVals, wantVals) {
 		t.Fatalf("%s [%v,%v]∧[%v,%v]: vals mismatch\n got %v\nwant %v",
 			name, r1[0], r1[1], r2[0], r2[1], gotVals, wantVals)
+	}
+	if got, want := d.AggregateSelected(blk, &sv), aggregateOracle(wantVals); got != want {
+		t.Fatalf("%s [%v,%v]∧[%v,%v]: aggregate = %+v, want %+v",
+			name, r1[0], r1[1], r2[0], r2[1], got, want)
 	}
 
 	// The same pair as a disjunction: a fresh mask of r1 unioned with r2
@@ -167,6 +172,97 @@ func TestMaskComposeOracle(t *testing.T) {
 			checkMaskCompose(t, "pdict-u16", blk, pr[0], pr[1])
 		}
 	})
+}
+
+// TestAggregateSelectedEdgeMasks folds hand-shaped selections over every
+// patched scheme and checks each against the scalar oracle: all-ones words
+// (the straight 32-code loop), a single bit, a selected exception slot
+// (whose packed code is a bogus gap), and blocks whose length is not a
+// multiple of 32, so the last word is partial.
+func TestAggregateSelectedEdgeMasks(t *testing.T) {
+	const n = 300 // 2 full groups + a 44-row tail; 300 % 32 = 12
+	src := make([]int64, n)
+	for i := range src {
+		src[i] = 100 + int64(i*37%500)
+	}
+	src[5], src[70], src[290] = -7, 1<<40, 1<<35 // exceptions, tail group included
+	delta := make([]int64, n)
+	for i := range delta {
+		delta[i] = int64(i) * 3
+	}
+	delta[133] += 1 << 30
+	dict := []int64{40, 10, 30, 20, 70, 50}
+	pd := make([]int64, n)
+	for i := range pd {
+		pd[i] = dict[i*7%len(dict)]
+	}
+	pd[5], pd[70], pd[290] = 999, -999, 12345
+
+	blocks := []struct {
+		name string
+		blk  *Block[int64]
+		vals []int64
+	}{
+		{"pfor", CompressPFOR(src, 100, 9), src},
+		{"pfor-delta", CompressPFORDelta(delta, 0, 0, 2), delta},
+		{"pdict", CompressPDict(pd, dict, 3), pd},
+	}
+	masks := []struct {
+		name string
+		rows []int
+	}{
+		{"none", nil},
+		{"one-row", []int{200}},
+		{"exception-only", []int{5}},
+		{"exception-and-neighbour", []int{69, 70, 71}},
+		{"tail-bits", []int{288, 290, 299}},
+		{"all-ones-word", span(32, 64)},
+		{"all-ones-group", span(128, 256)},
+		{"everything", span(0, n)},
+	}
+	for _, b := range blocks {
+		if b.blk.ExceptionCount() == 0 {
+			t.Fatalf("%s: test block has no exceptions", b.name)
+		}
+		var d Decoder[int64]
+		for _, m := range masks {
+			var sv SelectionVector
+			sv.Reset(n)
+			var want []int64
+			for _, r := range m.rows {
+				sv.Set(r)
+				want = append(want, b.vals[r])
+			}
+			if got := d.AggregateSelected(b.blk, &sv); got != aggregateOracle(want) {
+				t.Errorf("%s/%s: aggregate = %+v, want %+v", b.name, m.name, got, aggregateOracle(want))
+			}
+		}
+	}
+
+	// Narrow and unsigned element types: min/max start at the type's
+	// extremes, so values at those extremes must still win.
+	u8 := []uint8{0, 255, 7, 7, 9, 200, 1, 254}
+	var d8 Decoder[uint8]
+	var sv SelectionVector
+	sv.Fill(len(u8))
+	if got, want := d8.AggregateSelected(CompressPFOR(u8, 0, 3), &sv), aggregateOracle(u8); got != want {
+		t.Errorf("uint8: aggregate = %+v, want %+v", got, want)
+	}
+	i8 := []int8{-128, 127, 3, -1, 0, 5}
+	var di8 Decoder[int8]
+	sv.Fill(len(i8))
+	if got, want := di8.AggregateSelected(CompressPFOR(i8, -1, 3), &sv), aggregateOracle(i8); got != want {
+		t.Errorf("int8: aggregate = %+v, want %+v", got, want)
+	}
+}
+
+// span returns the rows [lo, hi).
+func span(lo, hi int) []int {
+	rows := make([]int, 0, hi-lo)
+	for r := lo; r < hi; r++ {
+		rows = append(rows, r)
+	}
+	return rows
 }
 
 // TestSelectionVector pins the bitmap type itself: shapes, tail
@@ -362,4 +458,43 @@ func BenchmarkRefineMask(b *testing.B) {
 			d.RefineMask(blk, 5, 1000, &sv)
 		}
 	})
+}
+
+func BenchmarkAggregateSelected(b *testing.B) {
+	rng := rand.New(rand.NewSource(23))
+	const n = 65536
+	src := make([]int64, n)
+	for i := range src {
+		src[i] = 1000 + rng.Int63n(1<<10)
+		if rng.Intn(100) == 0 {
+			src[i] = rng.Int63n(1 << 40)
+		}
+	}
+	dict := makeDict(64)
+	pd := synthPDict(rng, n, dict, 0.01)
+	blocks := []struct {
+		name string
+		blk  *Block[int64]
+	}{
+		{"pfor", CompressPFOR(src, 1000, 10)},
+		{"pdict", CompressPDict(pd, dict, 6)},
+	}
+	for _, bl := range blocks {
+		for _, density := range []float64{0.1, 0.5, 1} {
+			var sv SelectionVector
+			sv.Reset(n)
+			for i := 0; i < n; i++ {
+				if rng.Float64() < density {
+					sv.Set(i)
+				}
+			}
+			var d Decoder[int64]
+			b.Run(fmt.Sprintf("%s-%.0fpct", bl.name, density*100), func(b *testing.B) {
+				b.SetBytes(n * 8)
+				for b.Loop() {
+					d.AggregateSelected(bl.blk, &sv)
+				}
+			})
+		}
+	}
 }

@@ -47,22 +47,6 @@ type Aggregate[T Integer] struct {
 	Max   T
 }
 
-// add folds one matching value into the aggregate.
-func (a *Aggregate[T]) add(v T) {
-	if a.Count == 0 {
-		a.Min, a.Max = v, v
-	} else {
-		if v < a.Min {
-			a.Min = v
-		}
-		if v > a.Max {
-			a.Max = v
-		}
-	}
-	a.Count++
-	a.Sum += int64(v)
-}
-
 // Merge folds another aggregate (e.g. a different block's) into a.
 func (a *Aggregate[T]) Merge(b Aggregate[T]) {
 	if b.Count == 0 {
@@ -91,6 +75,7 @@ type selScratch[T Integer] struct {
 	xpos [GroupSize]int32 // all exception positions of one group, in order
 	vbuf [GroupSize]T     // decoded group values (PFOR-DELTA fallback)
 	bm   []uint64         // PDICT code-match bitmap, 1<<B bits
+	sv   SelectionVector  // AggregateWhere's match bitmap
 }
 
 // pforCodeRange translates the value-domain range [lo, hi] (lo <= hi) into
@@ -388,105 +373,19 @@ func (d *Decoder[T]) pdictCodeMatch(blk *Block[T], lo, hi T, s *selScratch[T]) (
 }
 
 // AggregateWhere computes Count, Sum, Min and Max over the values of blk
-// inside [lo, hi] without materializing them. For PFOR the aggregate is
-// derived from the matching codes alone (Count by mask popcount, Sum as
+// inside [lo, hi] without materializing them: the range is evaluated into
+// the decoder's pooled selection vector by DecompressMask, and
+// AggregateSelected folds the survivors — PFOR in code space (Sum as
 // Count*Base plus the code sum, Min/Max through the monotone code-to-value
-// mapping) — codes are never widened to T; PDICT folds dictionary values
-// per matching code; PFOR-DELTA falls back to the fused group decode.
-// Exceptions are folded on their true values.
+// mapping), PDICT through the dictionary, PFOR-DELTA over its decoded
+// groups. Exceptions are folded on their true values.
 func (d *Decoder[T]) AggregateWhere(blk *Block[T], lo, hi T) Aggregate[T] {
-	var agg Aggregate[T]
 	if lo > hi || blk.N == 0 {
-		return agg
+		return Aggregate[T]{}
 	}
 	s := d.selectScratch()
-	switch blk.Scheme {
-	case SchemePFOR:
-		clo, span, ok := pforCodeRange(blk.Base, blk.B, lo, hi)
-		d.blockMasks(blk, clo, span, ok, s.maskBuf(blk.N))
-		d.aggregateMasks(blk, lo, hi, &agg, s)
-	case SchemePDict:
-		clo, span, ok, contiguous := d.pdictCodeMatch(blk, lo, hi, s)
-		if contiguous {
-			d.blockMasks(blk, clo, span, ok, s.maskBuf(blk.N))
-		} else {
-			d.bitmapMasks(blk, s.maskBuf(blk.N), s)
-		}
-		d.aggregateMasks(blk, lo, hi, &agg, s)
-	case SchemePFORDelta:
-		raw := d.scratch(GroupSize)
-		numGroups := blk.NumGroups()
-		for g := 0; g < numGroups; g++ {
-			gStart, gEnd := groupBounds(blk, g)
-			n := gEnd - gStart
-			unpackGroup(blk, g, n, raw)
-			decompressPFORDeltaGroup(blk, g, raw, s.vbuf[:n])
-			for i := 0; i < n; i++ {
-				if v := s.vbuf[i]; v >= lo && v <= hi {
-					agg.add(v)
-				}
-			}
-		}
-	default:
-		panic("core: cannot aggregate scheme " + blk.Scheme.String())
-	}
-	return agg
-}
-
-// aggregateMasks folds the masked matches of a PFOR or PDICT block.
-// Aggregation is order-free, so exceptions fold independently — no
-// position merge. The PFOR leg accumulates raw codes (popcount, code sum,
-// code min/max) and derives the value aggregate once at the end.
-func (d *Decoder[T]) aggregateMasks(blk *Block[T], lo, hi T, agg *Aggregate[T], s *selScratch[T]) {
-	pfor := blk.Scheme == SchemePFOR
-	dict := blk.Dict
-	b := blk.B
-	codes := blk.Codes
-	var codeCount int
-	var codeSum uint64
-	minC, maxC := ^uint32(0), uint32(0)
-	numGroups := blk.NumGroups()
-	for g := 0; g < numGroups; g++ {
-		gStart, gEnd := groupBounds(blk, g)
-		w0, w1 := gStart>>5, (gEnd+31)>>5
-		if es, ee := blk.groupExc(g); es != ee {
-			epos := d.fixExceptions(blk, g, lo, hi, s.mask, s)
-			for i := range epos {
-				agg.add(s.eval[i])
-			}
-		}
-		for w := w0; w < w1; w++ {
-			m := s.mask[w]
-			if m == 0 {
-				continue
-			}
-			vb := w << 5
-			codeCount += bits.OnesCount32(m)
-			for ; m != 0; m &= m - 1 {
-				p := vb + bits.TrailingZeros32(m)
-				c := bitpack.CodeAt(codes, p, b)
-				if pfor {
-					codeSum += uint64(c)
-					if c < minC {
-						minC = c
-					}
-					if c > maxC {
-						maxC = c
-					}
-				} else {
-					agg.add(dict[c])
-				}
-			}
-		}
-	}
-	if pfor && codeCount > 0 {
-		agg.Merge(Aggregate[T]{
-			Count: codeCount,
-			Sum:   int64(codeCount)*int64(blk.Base) + int64(codeSum),
-			Min:   blk.Base + T(minC),
-			Max:   blk.Base + T(maxC),
-		})
-	}
+	d.DecompressMask(blk, lo, hi, &s.sv)
+	return d.AggregateSelected(blk, &s.sv)
 }
 
 // selectScratch lazily allocates the decoder's selection scratch; one

@@ -31,14 +31,27 @@ func checkSelect[T Integer](t *testing.T, name string, blk *Block[T], lo, hi T) 
 		t.Fatalf("%s [%v,%v]: vals mismatch\n got %v\nwant %v", name, lo, hi, gotVals, wantVals)
 	}
 
-	var want Aggregate[T]
-	for _, v := range wantVals {
-		want.add(v)
-	}
+	want := aggregateOracle(wantVals)
 	got := d.AggregateWhere(blk, lo, hi)
 	if got != want {
 		t.Fatalf("%s [%v,%v]: aggregate = %+v, want %+v", name, lo, hi, got, want)
 	}
+}
+
+// aggregateOracle folds vals one at a time, the scalar way.
+func aggregateOracle[T Integer](vals []T) Aggregate[T] {
+	var a Aggregate[T]
+	for i, v := range vals {
+		if i == 0 || v < a.Min {
+			a.Min = v
+		}
+		if i == 0 || v > a.Max {
+			a.Max = v
+		}
+		a.Count++
+		a.Sum += int64(v)
+	}
+	return a
 }
 
 // rangesFor picks predicate ranges that exercise the interesting shapes:

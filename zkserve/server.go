@@ -99,7 +99,8 @@ type ScanRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 
 	// Workers asks for block-parallel execution (clamped to the server's
-	// MaxWorkers). Zero or one scans sequentially.
+	// MaxWorkers). Zero or one scans sequentially. It also applies to
+	// aggregates: each block folds on a worker and the partials merge.
 	Workers int `json:"workers,omitempty"`
 
 	// SkipCorrupt opts this scan into degraded mode: blocks lost to

@@ -336,6 +336,7 @@ func runAggregate[T zukowski.Integer](ctx context.Context, p *scanPlan, involved
 	if err != nil || empty {
 		return AggResult{}, err
 	}
+	q.Workers = p.workers
 	agg, err := set.RunAggregate(ctx, q, setIdx[aggCol])
 	if err != nil {
 		return AggResult{}, err

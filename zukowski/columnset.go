@@ -500,16 +500,27 @@ func (cs *ColumnSet[T]) runParallel(ctx context.Context, cfg *scanConfig, q *Que
 
 // runAggregate is the aggregate loop shared by RunAggregate and
 // AggregateWhereAll: bitmap composition per block, then a fold over just
-// the target column's survivors.
+// the target column's survivors (blockAggregate). Each block yields one
+// partial aggregate; merging partials is order-free, so the parallel form
+// runs on the block engine and merges in whatever order blocks finish.
 func (cs *ColumnSet[T]) runAggregate(ctx context.Context, cfg *scanConfig, q *Query[T], col int) (Aggregate[T], error) {
-	var agg Aggregate[T]
 	if col < 0 || col >= len(cs.cols) {
-		return agg, fmt.Errorf("%w: aggregate column %d not in [0,%d)", ErrIndexOutOfRange, col, len(cs.cols))
+		return Aggregate[T]{}, fmt.Errorf("%w: aggregate column %d not in [0,%d)", ErrIndexOutOfRange, col, len(cs.cols))
 	}
 	empty, err := cs.checkQuery(q)
 	if err != nil || empty {
-		return agg, err
+		return Aggregate[T]{}, err
 	}
+	if q.Workers > 1 {
+		return cs.runAggregateParallel(ctx, cfg, *q, col)
+	}
+	return cs.runAggregateSeq(ctx, cfg, q, col)
+}
+
+// runAggregateSeq is the sequential aggregate loop. It captures nothing in
+// closures that outlive it, so a warmed optionless run allocates nothing.
+func (cs *ColumnSet[T]) runAggregateSeq(ctx context.Context, cfg *scanConfig, q *Query[T], col int) (Aggregate[T], error) {
+	var agg Aggregate[T]
 	st := cs.getState()
 	defer cs.putState(st)
 	match := cs.queryMatch(q)
@@ -520,39 +531,72 @@ func (cs *ColumnSet[T]) runAggregate(ctx context.Context, cfg *scanConfig, q *Qu
 		if !match(b) {
 			continue
 		}
-		any, err := cs.blockMaskQuery(st, b, q)
+		part, err := cs.blockAggregate(st, b, q, col)
 		if err != nil {
 			if cfg.skipBlock(int(cs.cols[0].blocks[b].count), err) {
 				continue
 			}
 			return Aggregate[T]{}, err
 		}
-		if !any {
-			continue
-		}
-		vals, err := cs.gatherBlockCol(st, b, col)
-		if err != nil {
-			if cfg.skipBlock(int(cs.cols[0].blocks[b].count), err) {
-				continue
-			}
-			return Aggregate[T]{}, err
-		}
-		for _, v := range vals {
-			if agg.Count == 0 {
-				agg.Min, agg.Max = v, v
-			} else {
-				if v < agg.Min {
-					agg.Min = v
-				}
-				if v > agg.Max {
-					agg.Max = v
-				}
-			}
-			agg.Count++
-			agg.Sum += int64(v)
-		}
+		agg.merge(part)
 	}
 	return agg, nil
+}
+
+// runAggregateParallel folds blocks across q.Workers goroutines, each
+// with its own pooled scan state; the engine's serialized delivery merges
+// the per-block partials. It takes its own copy of the query, because the
+// worker closures capture it.
+func (cs *ColumnSet[T]) runAggregateParallel(ctx context.Context, cfg *scanConfig, q Query[T], col int) (Aggregate[T], error) {
+	var agg Aggregate[T]
+	seq := func() (err error) {
+		agg, err = cs.runAggregateSeq(ctx, cfg, &q, col)
+		return err
+	}
+	work := func(st *setState[T], b int) (func() bool, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		part, err := cs.blockAggregate(st, b, &q, col)
+		if err != nil {
+			if cfg.skipBlock(int(cs.cols[0].blocks[b].count), err) {
+				return nil, nil
+			}
+			return nil, err
+		}
+		if part.Count == 0 {
+			return nil, nil
+		}
+		return func() bool { agg.merge(part); return true }, nil
+	}
+	err := parallelBlocksEngine(len(cs.cols[0].blocks), q.Workers, cs.queryMatch(&q), cfg,
+		seq, cs.getState, cs.putState, work)
+	if err != nil {
+		return Aggregate[T]{}, err
+	}
+	return agg, nil
+}
+
+// blockAggregate composes block b's bitmap for q and folds column col's
+// values at the surviving rows. Patched frames fold in the compressed
+// domain (core AggregateSelected); raw and baseline frames fold their
+// decoded values under the bitmap. Crafted frames surface as
+// ErrCorruptSegment, never a panic.
+func (cs *ColumnSet[T]) blockAggregate(st *setState[T], b int, q *Query[T], col int) (agg core.Aggregate[T], err error) {
+	any, err := cs.blockMaskQuery(st, b, q)
+	if err != nil || !any {
+		return agg, err
+	}
+	defer guardSegment(&err)
+	cst := &st.cols[col]
+	patched, err := cst.prepare(cs.cols[col], b)
+	if err != nil {
+		return agg, err
+	}
+	if patched {
+		return cst.dec.AggregateSelected(&cst.blk, &st.sv), nil
+	}
+	return core.AggregateValues(cst.vals, &st.sv), nil
 }
 
 // ScanWhereAll scans the set with a conjunction of range predicates
@@ -604,11 +648,4 @@ func (cs *ColumnSet[T]) ParallelScanWhereAll(preds []Pred[T], workers int, fn fu
 func (cs *ColumnSet[T]) AggregateWhereAll(preds []Pred[T], col int, opts ...ScanOption) (Aggregate[T], error) {
 	q := Query[T]{Preds: preds}
 	return cs.runAggregate(context.Background(), parseScanOpts(opts), &q, col)
-}
-
-// gatherBlockCol is gatherCol behind the crafted-frame panic guard (the
-// scan path inherits the guard from blockWhereAll).
-func (cs *ColumnSet[T]) gatherBlockCol(st *setState[T], b, col int) (vals []T, err error) {
-	defer guardSegment(&err)
-	return cs.gatherCol(&st.cols[col], col, b, &st.sv)
 }

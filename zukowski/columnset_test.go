@@ -2,6 +2,7 @@ package zukowski_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"slices"
@@ -411,7 +412,8 @@ func TestScanWhereAllZKC1(t *testing.T) {
 }
 
 // TestScanWhereAllSteadyStateAllocs pins the 0 allocs/op contract of
-// warmed sequential conjunctive scans and aggregates.
+// warmed sequential conjunctive scans and aggregates, RunAggregate with
+// an optionless Query included.
 func TestScanWhereAllSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation exactness is asserted in the non-race run")
@@ -443,10 +445,13 @@ func TestScanWhereAllSteadyStateAllocs(t *testing.T) {
 			if _, err := cs.AggregateWhereAll(preds, 1); err != nil {
 				t.Fatal(err)
 			}
+			if _, err := cs.RunAggregate(context.Background(), zukowski.Query[int64]{Preds: preds}, 0); err != nil {
+				t.Fatal(err)
+			}
 		}
 		scan() // warm the pooled state and verification latches
 		if avg := testing.AllocsPerRun(20, scan); avg != 0 {
-			t.Errorf("%s+%s: %v allocs/op on warmed ScanWhereAll+AggregateWhereAll, want 0", mix[0], mix[1], avg)
+			t.Errorf("%s+%s: %v allocs/op on warmed ScanWhereAll+AggregateWhereAll+RunAggregate, want 0", mix[0], mix[1], avg)
 		}
 	}
 }

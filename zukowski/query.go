@@ -32,8 +32,8 @@ type Query[T Integer] struct {
 	// predicates need not appear — filtering never materializes them.
 	Cols []int
 
-	// Workers sets block-level parallelism. Values below 2 run the scan
-	// sequentially on the calling goroutine.
+	// Workers sets block-level parallelism for Run and RunAggregate.
+	// Values below 2 run the scan sequentially on the calling goroutine.
 	Workers int
 
 	// InOrder makes a parallel scan deliver blocks in ascending block
@@ -114,7 +114,15 @@ func (cs *ColumnSet[T]) Run(ctx context.Context, q Query[T], fn func(block int, 
 
 // RunAggregate computes Count, Sum, Min and Max over column col's values
 // at the rows q selects, without materializing any other column. The
-// bitmap composes exactly as in Run; q.Cols is ignored.
+// bitmap composes exactly as in Run; q.Cols is ignored. Patched blocks
+// fold in the compressed domain (PFOR from code sums, never widening a
+// value), other frames over their decoded values.
+//
+// With Workers >= 2 blocks fold across a worker pool, one partial
+// aggregate per block. Partials merge without order — the result is the
+// same in any order — so InOrder does not change the answer. A warmed
+// sequential RunAggregate with no options set performs no heap
+// allocation.
 func (cs *ColumnSet[T]) RunAggregate(ctx context.Context, q Query[T], col int) (Aggregate[T], error) {
 	return cs.runAggregate(ctx, q.config(), &q, col)
 }
