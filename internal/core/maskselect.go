@@ -44,11 +44,23 @@ func (d *Decoder[T]) DecompressMask(blk *Block[T], lo, hi T, sv *SelectionVector
 // the scratch mask before the OR fold). Every word is assigned, so the
 // destination needs no clearing, and tail bits beyond blk.N stay zero.
 func (d *Decoder[T]) buildMask(blk *Block[T], lo, hi T, mask []uint32, s *selScratch[T]) {
+	if blk.Scheme == SchemePFORDelta {
+		d.maskPFORDelta(blk, lo, hi, mask, s)
+		return
+	}
+	d.codeMask(blk, lo, hi, mask, s)
+	d.maskFixExceptions(blk, lo, hi, mask, s, nil)
+}
+
+// codeMask fills mask with the verdicts of the packed-code kernels on the
+// non-inverted range [lo, hi] over a PFOR or PDICT block. Exception slots
+// carry the verdict on their bogus gap codes until maskFixExceptions
+// resolves them.
+func (d *Decoder[T]) codeMask(blk *Block[T], lo, hi T, mask []uint32, s *selScratch[T]) {
 	switch blk.Scheme {
 	case SchemePFOR:
 		clo, span, ok := pforCodeRange(blk.Base, blk.B, lo, hi)
 		d.blockMasks(blk, clo, span, ok, mask)
-		d.maskFixExceptions(blk, lo, hi, mask, s)
 	case SchemePDict:
 		clo, span, ok, contiguous := d.pdictCodeMatch(blk, lo, hi, s)
 		if contiguous {
@@ -56,9 +68,6 @@ func (d *Decoder[T]) buildMask(blk *Block[T], lo, hi T, mask []uint32, s *selScr
 		} else {
 			d.bitmapMasks(blk, mask, s)
 		}
-		d.maskFixExceptions(blk, lo, hi, mask, s)
-	case SchemePFORDelta:
-		d.maskPFORDelta(blk, lo, hi, mask, s)
 	default:
 		panic("core: cannot select on scheme " + blk.Scheme.String())
 	}
@@ -85,10 +94,13 @@ func (d *Decoder[T]) UnionMask(blk *Block[T], lo, hi T, sv *SelectionVector) {
 	}
 }
 
-// maskFixExceptions resolves exception slots of a freshly built mask: the
-// bogus patch-list gap codes produced whatever bits the kernels computed,
-// so each exception slot is overwritten with the verdict on its true value.
-func (d *Decoder[T]) maskFixExceptions(blk *Block[T], lo, hi T, mask []uint32, s *selScratch[T]) {
+// maskFixExceptions resolves the exception slots of a mask built by
+// codeMask: the bogus patch-list gap codes produced whatever bits the
+// kernels computed, so each exception slot is overwritten with the verdict
+// on its true value. With a non-nil f the matching exceptions fold into f
+// instead and every exception bit is cleared, leaving a mask of
+// code-judged rows only.
+func (d *Decoder[T]) maskFixExceptions(blk *Block[T], lo, hi T, mask []uint32, s *selScratch[T], f *fold[T]) {
 	numGroups := blk.NumGroups()
 	for g := 0; g < numGroups; g++ {
 		es, ee := blk.groupExc(g)
@@ -97,10 +109,19 @@ func (d *Decoder[T]) maskFixExceptions(blk *Block[T], lo, hi T, mask []uint32, s
 		}
 		all := d.excPositions(blk, g, &s.xpos)
 		for i, pos := range all {
-			if ev := blk.Exc[es+i]; ev >= lo && ev <= hi {
-				mask[pos>>5] |= 1 << (uint(pos) & 31)
-			} else {
-				mask[pos>>5] &^= 1 << (uint(pos) & 31)
+			bit := uint32(1) << (uint(pos) & 31)
+			ev := blk.Exc[es+i]
+			in := ev >= lo && ev <= hi
+			switch {
+			case f != nil:
+				mask[pos>>5] &^= bit
+				if in {
+					f.add(ev)
+				}
+			case in:
+				mask[pos>>5] |= bit
+			default:
+				mask[pos>>5] &^= bit
 			}
 		}
 	}
@@ -375,13 +396,20 @@ func (d *Decoder[T]) DecompressSelected(blk *Block[T], sv *SelectionVector, vals
 	return vals[:k]
 }
 
+// sparseGroup is the survivor count below which AggregateSelected reads a
+// PFOR or PDICT group's selected codes one at a time (bitpack.CodeAt)
+// instead of unpacking all 128 codes. Per-row reads win up to about 20%
+// density, roughly 25 survivors per group (BenchmarkAggregateSelected), so
+// a random 1% selection — ~1.3 survivors per group, yet a survivor in
+// ~72% of groups — stays on the per-row path, while dense selections take
+// the unrolled kernel.
+const sparseGroup = 24
+
 // AggregateSelected computes Count, Sum, Min and Max over the values of
 // blk at the rows sv selects, without widening a single value into a
-// gather buffer. Every group with surviving rows is unpacked once by the
-// width-specialized group kernel; the group's mask words are copied, the
-// bits of its exception slots cleared (their codes are bogus patch-list
-// gaps), and selected exceptions are folded on their true values. The
-// remaining rows fold per scheme:
+// gather buffer. Exception slots hold bogus patch-list gap codes, so a
+// selected exception folds its true value from blk.Exc, never its code.
+// The remaining rows fold per scheme:
 //
 //   - PFOR in code space: count, code sum and code min/max, with
 //     Sum = Count*Base + codeSum and Min/Max = Base + minC/maxC derived
@@ -389,12 +417,24 @@ func (d *Decoder[T]) DecompressSelected(blk *Block[T], sv *SelectionVector, vals
 //   - PDICT through the dictionary, dict[c].
 //   - PFOR-DELTA over its decoded group buffer.
 //
-// All-ones mask words fold 32 rows in a straight loop. sv must cover
-// exactly blk.N rows.
+// A PFOR or PDICT group with fewer than sparseGroup survivors reads each
+// survivor's code on its own; a denser group is unpacked once by the
+// width-specialized group kernel, its mask words are copied with the
+// exception bits cleared, and all-ones words fold 32 rows in a straight
+// loop. PFOR-DELTA always decodes the whole group (a value is a running
+// sum). sv must cover exactly blk.N rows.
 func (d *Decoder[T]) AggregateSelected(blk *Block[T], sv *SelectionVector) Aggregate[T] {
 	if sv.n != blk.N {
 		panic(fmt.Sprintf("core: selection of %d rows aggregated over block of %d", sv.n, blk.N))
 	}
+	return d.foldMask(blk, sv.words, newFold[T](), true)
+}
+
+// foldMask is AggregateSelected over a bare mask, continuing the fold vf.
+// With exc false the mask holds no exception bits — the caller has judged
+// the exceptions and folded the matching ones into vf — so the patch
+// lists are not walked again.
+func (d *Decoder[T]) foldMask(blk *Block[T], mask []uint32, vf fold[T], exc bool) Aggregate[T] {
 	pfor := blk.Scheme == SchemePFOR
 	delta := blk.Scheme == SchemePFORDelta
 	if !pfor && !delta && blk.Scheme != SchemePDict {
@@ -402,10 +442,8 @@ func (d *Decoder[T]) AggregateSelected(blk *Block[T], sv *SelectionVector) Aggre
 	}
 	s := d.selectScratch()
 	raw := d.scratch(GroupSize)
-	mask := sv.words
 	dict := blk.Dict
-	vf := newFold[T]()      // exceptions, PDICT and PFOR-DELTA values
-	cf := newFold[uint32]() // PFOR codes
+	cf := newFold[uint32]() // PFOR codes; vf takes all other values
 	numGroups := blk.NumGroups()
 	for g := 0; g < numGroups; g++ {
 		gStart, gEnd := groupBounds(blk, g)
@@ -414,38 +452,70 @@ func (d *Decoder[T]) AggregateSelected(blk *Block[T], sv *SelectionVector) Aggre
 			continue
 		}
 		n := gEnd - gStart
-		unpackGroup(blk, g, n, raw)
 		if delta {
+			unpackGroup(blk, g, n, raw)
 			decompressPFORDeltaGroup(blk, g, raw, s.vbuf[:n])
 			vf.foldMasked(s.vbuf[:n], words)
 			continue
 		}
+		es, ee := blk.groupExc(g)
+		if !exc {
+			ee = es
+		}
+		if onesCount(words) < sparseGroup {
+			// Per-row reads. The group's exception chain is walked
+			// alongside the ordered set bits and only as far as the last
+			// one; a selected exception slot folds its true value.
+			xi, xp := es, gStart+blk.patchStart(g)
+			for w, m := range words {
+				vb := gStart + w<<5
+				for ; m != 0; m &= m - 1 {
+					p := vb + bits.TrailingZeros32(m)
+					for xi < ee && xp < p {
+						xp += int(bitpack.CodeAt(blk.Codes, xp, blk.B)) + 1
+						xi++
+					}
+					if xi < ee && xp == p {
+						vf.add(blk.Exc[xi])
+						continue
+					}
+					c := bitpack.CodeAt(blk.Codes, p, blk.B)
+					if pfor {
+						cf.add(c)
+					} else {
+						vf.add(dict[c])
+					}
+				}
+			}
+			continue
+		}
+		unpackGroup(blk, g, n, raw)
 		var gm [GroupSize / 32]uint32
 		live := gm[:copy(gm[:], words)]
-		if es, ee := blk.groupExc(g); es != ee {
-			pos := blk.patchStart(g)
-			for k := es; k < ee; k++ {
-				bit := uint32(1) << (uint(pos) & 31)
-				if gm[pos>>5]&bit != 0 {
-					gm[pos>>5] &^= bit
-					vf.add(blk.Exc[k])
-				}
-				pos += int(raw[pos]) + 1
+		for k, pos := es, blk.patchStart(g); k < ee; k++ {
+			bit := uint32(1) << (uint(pos) & 31)
+			if gm[pos>>5]&bit != 0 {
+				gm[pos>>5] &^= bit
+				vf.add(blk.Exc[k])
 			}
+			pos += int(raw[pos]) + 1
 		}
 		if pfor {
 			cf.foldMasked(raw[:n], live)
 			continue
 		}
-		vals := s.vbuf[:n]
 		for w, m := range live {
-			if m != 0 {
-				for i := w << 5; i < min(w<<5+32, n); i++ {
-					vals[i] = dict[raw[i]]
+			cs := raw[w<<5:]
+			if m == ^uint32(0) {
+				for _, c := range cs[:32] {
+					vf.add(dict[c])
 				}
+				continue
+			}
+			for ; m != 0; m &= m - 1 {
+				vf.add(dict[cs[bits.TrailingZeros32(m)]])
 			}
 		}
-		vf.foldMasked(vals, live)
 	}
 	agg := vf.aggregate()
 	if cf.count > 0 {

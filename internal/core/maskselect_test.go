@@ -177,8 +177,10 @@ func TestMaskComposeOracle(t *testing.T) {
 // TestAggregateSelectedEdgeMasks folds hand-shaped selections over every
 // patched scheme and checks each against the scalar oracle: all-ones words
 // (the straight 32-code loop), a single bit, a selected exception slot
-// (whose packed code is a bogus gap), and blocks whose length is not a
-// multiple of 32, so the last word is partial.
+// (whose packed code is a bogus gap), groups just below and at the
+// sparseGroup survivor count (per-row code reads versus the group unpack),
+// partial words on both paths, and blocks whose length is not a multiple
+// of 32, so the last word is partial.
 func TestAggregateSelectedEdgeMasks(t *testing.T) {
 	const n = 300 // 2 full groups + a 44-row tail; 300 % 32 = 12
 	src := make([]int64, n)
@@ -197,6 +199,10 @@ func TestAggregateSelectedEdgeMasks(t *testing.T) {
 		pd[i] = dict[i*7%len(dict)]
 	}
 	pd[5], pd[70], pd[290] = 999, -999, 12345
+	var evens []int
+	for i := 0; i < n; i += 2 {
+		evens = append(evens, i)
+	}
 
 	blocks := []struct {
 		name string
@@ -218,6 +224,9 @@ func TestAggregateSelectedEdgeMasks(t *testing.T) {
 		{"tail-bits", []int{288, 290, 299}},
 		{"all-ones-word", span(32, 64)},
 		{"all-ones-group", span(128, 256)},
+		{"below-sparse-threshold", span(140, 140+sparseGroup-1)},
+		{"at-sparse-threshold", span(140, 140+sparseGroup)},
+		{"every-other-row", evens},
 		{"everything", span(0, n)},
 	}
 	for _, b := range blocks {
@@ -478,9 +487,12 @@ func BenchmarkAggregateSelected(b *testing.B) {
 	}{
 		{"pfor", CompressPFOR(src, 1000, 10)},
 		{"pdict", CompressPDict(pd, dict, 6)},
+		{"pfor-delta", CompressPFORDelta(src, 0, -(1 << 10), 11)},
 	}
+	// 1%, 2% and 10% leave PFOR and PDICT groups below sparseGroup
+	// survivors (per-row code reads); 50% and 100% unpack whole groups.
 	for _, bl := range blocks {
-		for _, density := range []float64{0.1, 0.5, 1} {
+		for _, density := range []float64{0.01, 0.02, 0.1, 0.5, 1} {
 			var sv SelectionVector
 			sv.Reset(n)
 			for i := 0; i < n; i++ {

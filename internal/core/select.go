@@ -75,7 +75,6 @@ type selScratch[T Integer] struct {
 	xpos [GroupSize]int32 // all exception positions of one group, in order
 	vbuf [GroupSize]T     // decoded group values (PFOR-DELTA fallback)
 	bm   []uint64         // PDICT code-match bitmap, 1<<B bits
-	sv   SelectionVector  // AggregateWhere's match bitmap
 }
 
 // pforCodeRange translates the value-domain range [lo, hi] (lo <= hi) into
@@ -373,19 +372,41 @@ func (d *Decoder[T]) pdictCodeMatch(blk *Block[T], lo, hi T, s *selScratch[T]) (
 }
 
 // AggregateWhere computes Count, Sum, Min and Max over the values of blk
-// inside [lo, hi] without materializing them: the range is evaluated into
-// the decoder's pooled selection vector by DecompressMask, and
-// AggregateSelected folds the survivors — PFOR in code space (Sum as
-// Count*Base plus the code sum, Min/Max through the monotone code-to-value
-// mapping), PDICT through the dictionary, PFOR-DELTA over its decoded
-// groups. Exceptions are folded on their true values.
+// inside [lo, hi] without materializing them. PFOR and PDICT evaluate the
+// range with the packed-code kernels into the decoder's scratch mask, fold
+// the exceptions that match on their true values while clearing their
+// bits (one patch-list walk), and fold the rest with AggregateSelected's
+// kernel — PFOR in code space (Sum as Count*Base plus the code sum,
+// Min/Max through the monotone code-to-value mapping), PDICT through the
+// dictionary. PFOR-DELTA has no code image of a value range, so each group
+// is decoded once and its matches fold in the same pass; building the mask
+// first would decode every group twice.
 func (d *Decoder[T]) AggregateWhere(blk *Block[T], lo, hi T) Aggregate[T] {
 	if lo > hi || blk.N == 0 {
 		return Aggregate[T]{}
 	}
 	s := d.selectScratch()
-	d.DecompressMask(blk, lo, hi, &s.sv)
-	return d.AggregateSelected(blk, &s.sv)
+	f := newFold[T]()
+	if blk.Scheme != SchemePFORDelta {
+		mask := s.maskBuf(blk.N)
+		d.codeMask(blk, lo, hi, mask, s)
+		d.maskFixExceptions(blk, lo, hi, mask, s, &f)
+		return d.foldMask(blk, mask, f, false)
+	}
+	raw := d.scratch(GroupSize)
+	numGroups := blk.NumGroups()
+	for g := 0; g < numGroups; g++ {
+		gStart, gEnd := groupBounds(blk, g)
+		n := gEnd - gStart
+		unpackGroup(blk, g, n, raw)
+		decompressPFORDeltaGroup(blk, g, raw, s.vbuf[:n])
+		for _, v := range s.vbuf[:n] {
+			if v >= lo && v <= hi {
+				f.add(v)
+			}
+		}
+	}
+	return f.aggregate()
 }
 
 // selectScratch lazily allocates the decoder's selection scratch; one

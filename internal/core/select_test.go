@@ -36,6 +36,21 @@ func checkSelect[T Integer](t *testing.T, name string, blk *Block[T], lo, hi T) 
 	if got != want {
 		t.Fatalf("%s [%v,%v]: aggregate = %+v, want %+v", name, lo, hi, got, want)
 	}
+
+	// The mask path: DecompressMask selects the same rows, and
+	// AggregateSelected over that mask folds the same aggregate.
+	var sv SelectionVector
+	d.DecompressMask(blk, lo, hi, &sv)
+	var maskRows []int32
+	for _, r := range sv.AppendRows(nil, 0) {
+		maskRows = append(maskRows, int32(r))
+	}
+	if !slices.Equal(maskRows, wantSel) {
+		t.Fatalf("%s [%v,%v]: mask rows mismatch\n got %v\nwant %v", name, lo, hi, maskRows, wantSel)
+	}
+	if got := d.AggregateSelected(blk, &sv); got != want {
+		t.Fatalf("%s [%v,%v]: mask aggregate = %+v, want %+v", name, lo, hi, got, want)
+	}
 }
 
 // aggregateOracle folds vals one at a time, the scalar way.

@@ -58,12 +58,15 @@ func (sv *SelectionVector) Len() int { return sv.n }
 func (sv *SelectionVector) Words() []uint32 { return sv.words }
 
 // Count returns the number of set bits (rows selected).
-func (sv *SelectionVector) Count() int {
-	c := 0
-	for _, w := range sv.words {
-		c += bits.OnesCount32(w)
+func (sv *SelectionVector) Count() int { return onesCount(sv.words) }
+
+// onesCount returns the number of bits set in words.
+func onesCount(words []uint32) int {
+	n := 0
+	for _, w := range words {
+		n += bits.OnesCount32(w)
 	}
-	return c
+	return n
 }
 
 // Any reports whether at least one row is selected.

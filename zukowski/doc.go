@@ -39,11 +39,11 @@
 // bitmaps. Only matching (row, value) pairs are materialized; exception
 // slots are judged on their true values. AggregateWhere goes further:
 // its match bitmap is folded by the same kernel RunAggregate uses, which
-// unpacks each group with surviving rows once and derives
-// Count/Sum/Min/Max for PFOR from the matching codes plus the block base
-// without widening codes to the element type. Raw and baseline
-// frames decode-then-filter with the same output contract, and warmed
-// sequential filtered scans allocate nothing.
+// reads the codes of sparse groups one by one, unpacks denser groups
+// once, and derives Count/Sum/Min/Max for PFOR from the matching codes
+// plus the block base without widening codes to the element type. Raw
+// and baseline frames decode-then-filter with the same output contract,
+// and warmed sequential filtered scans allocate nothing.
 //
 // # Hot-block caching
 //

@@ -3,6 +3,7 @@ package zukowski_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -447,4 +448,51 @@ func BenchmarkScanSelect(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkAggregateWhere measures ColumnReader.AggregateWhere over
+// unsorted data (zone maps prune nothing) across selectivities: PFOR and
+// PDICT on both sides of the per-group density switch (1%, 2% and 10%
+// read codes row by row, 100% unpacks whole groups), and PFOR-DELTA,
+// whose groups are decoded once per query whatever the selectivity.
+func BenchmarkAggregateWhere(b *testing.B) {
+	rng := rand.New(rand.NewSource(26))
+	vals := make([]int64, 1<<20)
+	for i := range vals {
+		vals[i] = rng.Int63n(1 << 10)
+		if rng.Intn(50) == 0 {
+			vals[i] = rng.Int63n(1 << 30)
+		}
+	}
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
+	raw := int64(len(vals) * 8)
+	for _, c := range []struct {
+		name  string
+		codec zukowski.Codec[int64]
+		pcts  []int
+	}{
+		{"pfor", zukowski.PFOR[int64]{}, []int{1, 2, 10, 100}},
+		{"pdict", zukowski.PDict[int64]{}, []int{1, 2, 10, 100}},
+		{"pfor-delta", zukowski.PFORDelta[int64]{}, []int{10, 50, 100}},
+	} {
+		cr := buildSelectColumn(b, c.codec, zukowski.DefaultBlockValues, vals)
+		for _, pct := range c.pcts {
+			mid := len(sorted) / 2
+			half := pct * len(sorted) / 200
+			lo, hi := sorted[mid-half], sorted[min(mid+half, len(sorted)-1)]
+			if pct == 100 {
+				lo = sorted[0]
+			}
+			b.Run(fmt.Sprintf("%s-%dpct", c.name, pct), func(b *testing.B) {
+				b.SetBytes(raw)
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := cr.AggregateWhere(lo, hi); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }
