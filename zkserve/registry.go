@@ -223,15 +223,18 @@ func newColHandle(name string, mem []byte, src io.ReaderAt, size int64, opts []z
 // A table is either flat (cols, one container per column — the classic
 // layout) or sharded (segs, backed by a zktable directory: one committed
 // manifest generation spanning many immutable segments). Sharded tables
-// expose the committed generation and quarantine state on /tables and
-// execute every scan per segment with global row and block numbering.
+// expose the committed generation and quarantine state on /tables; row
+// and aggregate mode run on the open zktable, frame mode per segment,
+// all with global row and block numbering.
 type Table struct {
 	name   string
 	cols   []colHandle
 	byName map[string]int
 
-	// Sharded (zktable-backed) state.
-	isShard   bool
+	// Sharded (zktable-backed) state. shard runs row and aggregate mode
+	// on the open zktable.Table; segs serve frame mode, validation and
+	// statistics.
+	shard     rowSource
 	segs      []*servedSeg
 	colNames  []string // schema order, from the manifest
 	gen       uint64   // committed generation being served
@@ -239,7 +242,7 @@ type Table struct {
 }
 
 // sharded reports whether the table is zktable-backed.
-func (t *Table) sharded() bool { return t.isShard }
+func (t *Table) sharded() bool { return t.shard != nil }
 
 // allCols returns every live column handle — the flat list, or the
 // handles of every in-service segment of a sharded table.

@@ -10,10 +10,13 @@ import (
 
 // Sharded tables: one zktable directory served as one logical table. The
 // zktable layer owns durability (manifest generations, startup recovery,
-// salvage, quarantine); this file adapts its per-segment column readers
-// into the registry's colHandle world and runs every scan plan segment by
-// segment with global row and block numbering, so clients see one table
-// regardless of how ingest segmented it.
+// salvage, quarantine) and runs row and aggregate mode itself
+// (zktable.Table.Run and RunAggregate, through typedSource). This file
+// adapts its per-segment column readers into the registry's colHandle
+// world for what the zktable does not serve: frame mode, validation,
+// block statistics and /tables metadata, all with global row and block
+// numbering, so clients see one table regardless of how ingest
+// segmented it.
 
 // servedSeg is one committed segment of a sharded table: a flat
 // single-segment Table view over the zktable's open readers, or — when
@@ -64,7 +67,7 @@ func addSharded[T zukowski.Integer](r *Registry, table, dir string) error {
 		zt.Close()
 		return fmt.Errorf("%w: table %q already registered", ErrBadRequest, table)
 	}
-	t.isShard = true
+	t.shard = typedSource[T]{src: zt}
 	t.colNames = zt.Columns()
 	for i, name := range t.colNames {
 		t.byName[name] = i
@@ -156,9 +159,9 @@ func (p *scanPlan) subPlan(s *servedSeg) *scanPlan {
 	return &scanPlan{table: s.sub, out: p.out, preds: p.preds, orGroups: p.orGroups, workers: p.workers, skip: p.skip, report: p.report}
 }
 
-// skipSeg handles one quarantined segment: under degraded mode every
-// committed block and row is recorded as lost and the scan moves on;
-// otherwise the scan must fail with the quarantine error.
+// skipSeg handles one quarantined segment in frame mode: under degraded
+// mode every committed block and row is recorded as lost and the stream
+// moves on; otherwise the request must fail with the quarantine error.
 func (p *scanPlan) skipSeg(s *servedSeg) bool {
 	if !p.skip {
 		return false
@@ -169,9 +172,9 @@ func (p *scanPlan) skipSeg(s *servedSeg) bool {
 	return true
 }
 
-// liveSegs validates the request against every in-service segment using
-// check and returns them; a quarantined segment fails the whole request
-// unless the plan runs degraded (the caller then accounts it per use).
+// validateSharded runs the row-mode or frame-mode checks against every
+// in-service segment. Quarantined segments are not checked here: the scan
+// itself fails on them, or accounts them under degraded mode.
 func (p *scanPlan) validateSharded(rowMode bool) error {
 	for _, s := range p.table.segs {
 		if s.sub == nil {
@@ -205,68 +208,6 @@ func (p *scanPlan) blockStatsSharded() (scanned, pruned int, rawBytes int64) {
 		rawBytes += raw
 	}
 	return scanned, pruned, rawBytes
-}
-
-// runSharded executes row mode segment by segment in global row order,
-// offsetting each segment's local row IDs by its first global row.
-func (p *scanPlan) runSharded(ctx context.Context, emit func(rows []int64, vals [][]int64) bool) error {
-	stopped := false
-	for _, s := range p.table.segs {
-		if s.quarErr != nil {
-			if !p.skipSeg(s) {
-				return s.quarErr
-			}
-			continue
-		}
-		base := s.rowStart
-		err := p.subPlan(s).run(ctx, func(rows []int64, vals [][]int64) bool {
-			for j := range rows {
-				rows[j] += base
-			}
-			if !emit(rows, vals) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		if stopped {
-			return nil
-		}
-	}
-	return nil
-}
-
-// aggregateSharded folds the aggregate across in-service segments; Min
-// and Max only fold over segments that matched rows.
-func (p *scanPlan) aggregateSharded(ctx context.Context, aggCol int) (AggResult, error) {
-	var out AggResult
-	for _, s := range p.table.segs {
-		if s.quarErr != nil {
-			if !p.skipSeg(s) {
-				return AggResult{}, s.quarErr
-			}
-			continue
-		}
-		res, err := p.subPlan(s).aggregate(ctx, aggCol)
-		if err != nil {
-			return AggResult{}, err
-		}
-		if res.Count == 0 {
-			continue
-		}
-		if out.Count == 0 {
-			out = res
-			continue
-		}
-		out.Count += res.Count
-		out.Sum += res.Sum
-		out.Min = min(out.Min, res.Min)
-		out.Max = max(out.Max, res.Max)
-	}
-	return out, nil
 }
 
 // streamBlocksSharded executes frame mode segment by segment, offsetting

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/zkserve"
@@ -252,6 +253,19 @@ func TestShardedQuarantineServe(t *testing.T) {
 		t.Fatal("exact aggregate succeeded with a quarantined segment")
 	}
 
+	// A predicate no row can satisfy is answered exactly — zero rows, not
+	// degraded — even with a segment out of service: its rows could not
+	// have matched either. Flat tables answer it the same way.
+	lo, hi := int64(5), int64(4)
+	none := zkserve.ScanRequest{Table: "st", Cols: []string{"c0"}, Preds: []zkserve.PredSpec{{Col: "c1", Lo: &lo, Hi: &hi}}}
+	if nres, err := cl.ScanRows(context.Background(), none, nil); err != nil || nres.Rows != 0 || nres.Degraded {
+		t.Fatalf("unsatisfiable scan = %+v, %v; want 0 rows, exact", nres, err)
+	}
+	none.Agg, none.AggCol = "count", "c0"
+	if nagg, err := cl.Aggregate(context.Background(), none); err != nil || nagg.Result.Count != 0 || nagg.Degraded {
+		t.Fatalf("unsatisfiable aggregate = %+v, %v; want count 0, exact", nagg, err)
+	}
+
 	// Degraded requests serve the survivors (segments 1 and 3) and account
 	// the quarantined segment's committed rows and blocks exactly.
 	lostBlocks := int64((1300 + testBV - 1) / testBV)
@@ -299,4 +313,54 @@ func TestShardedQuarantineServe(t *testing.T) {
 	if fres.Rows != 1600 || !fres.Degraded || fres.RowsLost != 1300 || fres.BlocksSkipped != lostBlocks {
 		t.Fatalf("degraded frame trailer = %+v", fres)
 	}
+}
+
+// TestShardedConcurrentAggregateAndRows sends row and aggregate requests
+// from several clients at once to one sharded table. They share the
+// zktable handle and its per-segment ColumnSets, sequential and on two
+// workers; every answer must match the oracle.
+func TestShardedConcurrentAggregateAndRows(t *testing.T) {
+	dir := t.TempDir()
+	total := buildShardedTable(t, dir, []int{900, 1300, 700, 2100})
+	reg, err := zkserve.OpenDir(dir)
+	if err != nil {
+		t.Fatalf("OpenDir: %v", err)
+	}
+	defer reg.Close()
+	_, _, cl := newTestServer(t, zkserve.Config{Registry: reg, Slots: 8, MaxWorkers: 4})
+	want := aggOracle(int64(total), func(i int64) bool { v := c1Val(i); return v >= 100 && v <= 800 })
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			req := zkserve.ScanRequest{Table: "st", Cols: []string{"c0", "c1"}, Preds: []zkserve.PredSpec{pred("c1", 100, 800)}, Workers: 1 + g%2}
+			for k := 0; k < 10; k++ {
+				if g < 2 {
+					areq := req
+					areq.Agg, areq.AggCol = "all", "c1"
+					resp, err := cl.Aggregate(context.Background(), areq)
+					if err != nil || resp.Result != want {
+						t.Errorf("client %d: aggregate = %+v, %v; want %+v", g, resp.Result, err, want)
+						return
+					}
+					continue
+				}
+				var n int64
+				_, err := cl.ScanRows(context.Background(), req, func(row int64, vals []int64) bool {
+					if vals[0] != row || vals[1] != c1Val(row) {
+						t.Errorf("client %d: row %d vals %v", g, row, vals)
+					}
+					n++
+					return true
+				})
+				if err != nil || n != want.Count {
+					t.Errorf("client %d: %d rows, %v; want %d", g, n, err, want.Count)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

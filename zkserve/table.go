@@ -10,13 +10,14 @@ import (
 
 // Query planning. A scanPlan is a validated request against one table:
 // resolved output columns, resolved predicates in the wire (int64)
-// domain, and a worker count. Execution dispatches on the involved
-// columns' shared element width to the generic runners below, which
-// build a zukowski.ColumnSet over exactly the involved columns and push
-// the predicate — the conjunction plus any any_of disjunction, mapped
-// onto an expression tree — into ColumnSet.Run: zone-map pruning,
-// compressed-domain bitmaps and refine/union kernels all engage
-// server-side, and only surviving rows are widened onto the wire.
+// domain, and a worker count. Row and aggregate mode translate the
+// predicate — the conjunction plus any any_of disjunction, mapped onto
+// an expression tree — into one zukowski.Query and run it on a typed
+// source: for a flat table, a ColumnSet over exactly the involved
+// columns at their shared element width; for a sharded table, the open
+// zktable.Table. Zone-map pruning, compressed-domain bitmaps and
+// refine/union kernels all engage server-side, and only surviving rows
+// are widened onto the wire.
 
 // predSpec is one resolved conjunct in the wire domain.
 type predSpec struct {
@@ -190,24 +191,11 @@ func (p *scanPlan) blockStats() (scanned, pruned int, rawBytes int64) {
 // rows[j]). The slices are reused between calls. emit returning false
 // stops the scan cleanly (nil); context death returns ctx.Err().
 func (p *scanPlan) run(ctx context.Context, emit func(rows []int64, vals [][]int64) bool) error {
-	if p.table.sharded() {
-		return p.runSharded(ctx, emit)
-	}
-	inv := p.involved()
-	w, err := p.uniformWidth(inv)
+	src, err := p.source()
 	if err != nil {
 		return err
 	}
-	switch w {
-	case 1:
-		return runScan[int8](ctx, p, inv, emit)
-	case 2:
-		return runScan[int16](ctx, p, inv, emit)
-	case 4:
-		return runScan[int32](ctx, p, inv, emit)
-	default:
-		return runScan[int64](ctx, p, inv, emit)
-	}
+	return src.run(ctx, p, emit)
 }
 
 // AggResult is an aggregate in the wire domain. Min and Max are only
@@ -222,56 +210,101 @@ type AggResult struct {
 // aggregate executes the plan as an aggregate over output column
 // aggCol (an index into table.cols, which must be in p.out or p.preds).
 func (p *scanPlan) aggregate(ctx context.Context, aggCol int) (AggResult, error) {
+	src, err := p.source()
+	if err != nil {
+		return AggResult{}, err
+	}
+	return src.aggregate(ctx, p, aggCol)
+}
+
+// rowSource runs row and aggregate mode with the element type erased.
+type rowSource interface {
+	run(ctx context.Context, p *scanPlan, emit func(rows []int64, vals [][]int64) bool) error
+	aggregate(ctx context.Context, p *scanPlan, aggCol int) (AggResult, error)
+}
+
+// querySource is what a typedSource runs its translated Query on: a
+// ColumnSet over a flat table's involved columns, or a sharded table's
+// zktable.Table, which walks its segments itself.
+type querySource[T zukowski.Integer] interface {
+	Run(ctx context.Context, q zukowski.Query[T], fn func(block int, rows []int64, cols [][]T) bool) error
+	RunAggregate(ctx context.Context, q zukowski.Query[T], col int) (zukowski.Aggregate[T], error)
+}
+
+// typedSource is the rowSource of one element type. idx maps table
+// column indices to src's; nil is the identity (a zktable holds the full
+// schema in order).
+type typedSource[T zukowski.Integer] struct {
+	src querySource[T]
+	idx map[int]int
+}
+
+// source returns the plan's rowSource: the sharded table's zktable
+// adapter, or a ColumnSet built over the flat table's involved columns
+// at their shared element width.
+func (p *scanPlan) source() (rowSource, error) {
 	if p.table.sharded() {
-		return p.aggregateSharded(ctx, aggCol)
+		return p.table.shard, nil
 	}
 	inv := p.involved()
 	w, err := p.uniformWidth(inv)
 	if err != nil {
-		return AggResult{}, err
+		return nil, err
 	}
 	switch w {
 	case 1:
-		return runAggregate[int8](ctx, p, inv, aggCol)
+		return buildSet[int8](p, inv)
 	case 2:
-		return runAggregate[int16](ctx, p, inv, aggCol)
+		return buildSet[int16](p, inv)
 	case 4:
-		return runAggregate[int32](ctx, p, inv, aggCol)
+		return buildSet[int32](p, inv)
 	default:
-		return runAggregate[int64](ctx, p, inv, aggCol)
+		return buildSet[int64](p, inv)
 	}
 }
 
-// buildSet assembles the typed ColumnSet over the involved columns and
-// translates the plan's predicates into its index space: the conjunction
-// as Preds, the any_of disjunction as an Or-of-Ands expression tree.
-// empty reports a predicate with no possible match — a conjunct whose
-// range has no image in T's domain, or a disjunction whose every
-// alternative has one — and the caller should emit zero rows and
-// succeed. An alternative with an unrepresentable conjunct is dropped
-// (it can never hold); the others still apply.
-func buildSet[T zukowski.Integer](p *scanPlan, involved []int) (set *zukowski.ColumnSet[T], setIdx map[int]int, q zukowski.Query[T], empty bool, err error) {
+// buildSet assembles the typed ColumnSet over the involved columns.
+func buildSet[T zukowski.Integer](p *scanPlan, involved []int) (rowSource, error) {
 	readers := make([]*zukowski.ColumnReader[T], len(involved))
-	setIdx = make(map[int]int, len(involved))
+	setIdx := make(map[int]int, len(involved))
 	for i, ci := range involved {
 		cr, ok := p.table.cols[ci].reader().(*zukowski.ColumnReader[T])
 		if !ok {
-			return nil, nil, q, false, fmt.Errorf("%w: column %q element width changed underfoot",
+			return nil, fmt.Errorf("%w: column %q element width changed underfoot",
 				ErrMismatch, p.table.cols[ci].colName())
 		}
 		readers[i] = cr
 		setIdx[ci] = i
 	}
-	set, err = zukowski.NewColumnSet(readers...)
+	set, err := zukowski.NewColumnSet(readers...)
 	if err != nil {
-		return nil, nil, q, false, err
+		return nil, err
 	}
+	return typedSource[T]{src: set, idx: setIdx}, nil
+}
+
+// col maps table column ci into the source's column space.
+func (s typedSource[T]) col(ci int) int {
+	if s.idx == nil {
+		return ci
+	}
+	return s.idx[ci]
+}
+
+// query translates the plan's predicates into the source's index space:
+// the conjunction as Preds, the any_of disjunction as an Or-of-Ands
+// expression tree. empty reports a predicate with no possible match — a
+// conjunct whose range has no image in T's domain, or a disjunction
+// whose every alternative has one — and the caller should emit zero rows
+// and succeed. An alternative with an unrepresentable conjunct is
+// dropped (it can never hold); the others still apply.
+func (s typedSource[T]) query(p *scanPlan) (q zukowski.Query[T], empty bool) {
 	for _, ps := range p.preds {
 		tlo, thi, ok := clampRange[T](ps.lo, ps.hi)
 		if !ok {
-			return set, setIdx, q, true, nil
+			return q, true
 		}
-		q.Preds = append(q.Preds, zukowski.Pred[T]{Col: setIdx[ps.col], Lo: tlo, Hi: thi})
+		q.Preds = append(q.Preds, zukowski.Pred[T]{Col: s.col(ps.col), Lo: tlo, Hi: thi})
 	}
 	if len(p.orGroups) > 0 {
 		branches := make([]zukowski.Expr[T], 0, len(p.orGroups))
@@ -284,7 +317,7 @@ func buildSet[T zukowski.Integer](p *scanPlan, involved []int) (set *zukowski.Co
 					dead = true
 					break
 				}
-				branch = append(branch, zukowski.Range[T](setIdx[ps.col], tlo, thi))
+				branch = append(branch, zukowski.Range[T](s.col(ps.col), tlo, thi))
 			}
 			if dead {
 				continue
@@ -296,30 +329,30 @@ func buildSet[T zukowski.Integer](p *scanPlan, involved []int) (set *zukowski.Co
 			}
 		}
 		if len(branches) == 0 {
-			return set, setIdx, q, true, nil
+			return q, true
 		}
 		q.Expr = zukowski.Or(branches...)
 	}
 	q.SkipCorrupt = p.skip
 	q.Report = p.report
-	return set, setIdx, q, false, nil
+	return q, false
 }
 
-func runScan[T zukowski.Integer](ctx context.Context, p *scanPlan, involved []int, emit func(rows []int64, vals [][]int64) bool) error {
-	set, setIdx, q, empty, err := buildSet[T](p, involved)
-	if err != nil || empty {
-		return err
+func (s typedSource[T]) run(ctx context.Context, p *scanPlan, emit func(rows []int64, vals [][]int64) bool) error {
+	q, empty := s.query(p)
+	if empty {
+		return nil
 	}
 	q.Cols = make([]int, len(p.out))
 	for i, ci := range p.out {
-		q.Cols[i] = setIdx[ci]
+		q.Cols[i] = s.col(ci)
 	}
 	if p.workers > 1 {
 		q.Workers = p.workers
 		q.InOrder = true
 	}
 	widened := make([][]int64, len(p.out))
-	return set.Run(ctx, q, func(_ int, rows []int64, cols [][]T) bool {
+	return s.src.Run(ctx, q, func(_ int, rows []int64, cols [][]T) bool {
 		for i := range cols {
 			w := widened[i][:0]
 			for _, v := range cols[i] {
@@ -331,13 +364,13 @@ func runScan[T zukowski.Integer](ctx context.Context, p *scanPlan, involved []in
 	})
 }
 
-func runAggregate[T zukowski.Integer](ctx context.Context, p *scanPlan, involved []int, aggCol int) (AggResult, error) {
-	set, setIdx, q, empty, err := buildSet[T](p, involved)
-	if err != nil || empty {
-		return AggResult{}, err
+func (s typedSource[T]) aggregate(ctx context.Context, p *scanPlan, aggCol int) (AggResult, error) {
+	q, empty := s.query(p)
+	if empty {
+		return AggResult{}, nil
 	}
 	q.Workers = p.workers
-	agg, err := set.RunAggregate(ctx, q, setIdx[aggCol])
+	agg, err := s.src.RunAggregate(ctx, q, s.col(aggCol))
 	if err != nil {
 		return AggResult{}, err
 	}

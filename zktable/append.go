@@ -236,7 +236,7 @@ func (t *Table[T]) Append(cols [][]T) (uint64, error) {
 func (t *Table[T]) Compact() (uint64, error) {
 	t.ingest.Lock()
 	defer t.ingest.Unlock()
-	segs, _, _, rows, err := t.snapshot()
+	segs, _, rows, err := t.snapshot()
 	if err != nil {
 		return 0, err
 	}

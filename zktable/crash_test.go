@@ -1,12 +1,12 @@
 package zktable_test
 
 import (
+	"context"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/faultio"
@@ -348,7 +348,7 @@ func TestSalvageFooterDamage(t *testing.T) {
 	if len(repQ.Quarantined) != 1 || repQ.RowsUnavailable != baseRows {
 		t.Fatalf("report %+v, want 1 quarantined segment / %d rows unavailable", repQ, baseRows)
 	}
-	if err := tbQ.ScanWhereAll(nil, func([]int64, [][]int64) bool { return true }); !errors.Is(err, zktable.ErrSegmentQuarantined) {
+	if err := tbQ.Run(context.Background(), zukowski.Query[int64]{}, func(int, []int64, [][]int64) bool { return true }); !errors.Is(err, zktable.ErrSegmentQuarantined) {
 		t.Fatalf("exact scan over quarantine = %v, want ErrSegmentQuarantined", err)
 	}
 	tbQ.Close()
@@ -412,7 +412,8 @@ func TestQuarantineDegradedScan(t *testing.T) {
 	}
 
 	// Exact scans refuse.
-	err = tb2.ScanWhereAll(nil, func([]int64, [][]int64) bool { return true })
+	ctx := context.Background()
+	err = tb2.Run(ctx, zukowski.Query[int64]{}, func(int, []int64, [][]int64) bool { return true })
 	if !errors.Is(err, zktable.ErrSegmentQuarantined) {
 		t.Fatalf("exact scan = %v, want ErrSegmentQuarantined", err)
 	}
@@ -423,10 +424,10 @@ func TestQuarantineDegradedScan(t *testing.T) {
 	// Degraded scans return the survivors and account the loss exactly.
 	srep := &zukowski.ScanReport{}
 	var got int64
-	err = tb2.ScanWhereAll(nil, func(rows []int64, _ [][]int64) bool {
+	err = tb2.Run(ctx, zukowski.Query[int64]{SkipCorrupt: true, Report: srep}, func(_ int, rows []int64, _ [][]int64) bool {
 		got += int64(len(rows))
 		return true
-	}, zukowski.SkipCorrupt(srep))
+	})
 	if err != nil {
 		t.Fatalf("degraded scan: %v", err)
 	}
@@ -446,16 +447,16 @@ func TestQuarantineDegradedScan(t *testing.T) {
 
 	// Parallel degraded scan agrees.
 	prep := &zukowski.ScanReport{}
-	var pn atomic.Int64
-	err = tb2.ParallelScanWhereAll(nil, 4, func(_ int, rows []int64, _ [][]int64) bool {
-		pn.Add(int64(len(rows)))
+	var pn int64
+	err = tb2.Run(ctx, zukowski.Query[int64]{Workers: 4, SkipCorrupt: true, Report: prep}, func(_ int, rows []int64, _ [][]int64) bool {
+		pn += int64(len(rows))
 		return true
-	}, zukowski.SkipCorrupt(prep))
+	})
 	if err != nil {
 		t.Fatalf("parallel degraded scan: %v", err)
 	}
-	if pn.Load() != 900+700 {
-		t.Fatalf("parallel degraded scan saw %d rows, want %d", pn.Load(), 900+700)
+	if pn != 900+700 {
+		t.Fatalf("parallel degraded scan saw %d rows, want %d", pn, 900+700)
 	}
 	if prep.RowsLost != 1300 {
 		t.Fatalf("parallel RowsLost = %d, want 1300", prep.RowsLost)

@@ -40,11 +40,20 @@
 // size, geometry, per-block CRCs and zone maps); and — per Options —
 // salvages damaged segments via zukowski.RecoverColumn or quarantines
 // them with exact loss accounting. Quarantined segments fail exact scans
-// with ErrSegmentQuarantined; scans running under zukowski.SkipCorrupt
-// skip them and record every lost block and row in the caller's
-// ScanReport, the same contract the block engine applies within a
-// segment. Fsck performs the full read-only walk (every payload CRC of
-// every block) for ops; segdump -fsck exposes it on the command line.
+// with ErrSegmentQuarantined; queries with Query.SkipCorrupt set skip
+// them and record every lost block and row in Query.Report, the same
+// contract the block engine applies within a segment. Fsck performs the
+// full read-only walk (every payload CRC of every block) for ops;
+// segdump -fsck exposes it on the command line.
+//
+// # Scans
+//
+// Run and RunAggregate execute one zukowski.Query — the same struct a
+// zukowski.ColumnSet takes — over every committed segment in row order,
+// each segment through its own ColumnSet.Run or RunAggregate, with rows
+// and block indices offset into the table's global numbering. The query
+// is checked against the schema before any segment is touched, and the
+// context between segments and between blocks.
 //
 // # Concurrency
 //

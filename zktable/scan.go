@@ -2,219 +2,109 @@ package zktable
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
+	"fmt"
 
 	"repro/zukowski"
 )
 
-// skipQuarantined handles one quarantined segment for a scan configured
-// by opts: under zukowski.SkipCorrupt it accounts every committed block
-// and row of the segment as lost in the caller's ScanReport and reports
-// true (keep scanning); otherwise it reports false and the scan must
-// fail with the segment's quarantine error.
-func skipQuarantined[T zukowski.Integer](seg *segment[T], opts []zukowski.ScanOption) bool {
-	rep, skip := zukowski.ConfiguredSkipCorrupt(opts...)
-	if !skip {
-		return false
-	}
-	for _, count := range seg.counts {
-		rep.Record(int(count), seg.quar)
-	}
-	return true
-}
-
-// ScanWhereAll runs the conjunctive predicate scan across every segment
-// in row order, delivering global row IDs (segment-local IDs offset by
-// the rows before the segment). fn returning false stops the scan.
-// Options flow straight through to the block engine, so SkipCorrupt,
-// WithScanReport and WithRetryPolicy behave exactly as they do on a
-// single ColumnSet; quarantined segments fail exact scans with
-// ErrSegmentQuarantined and are skipped — with every lost block and row
-// recorded — under SkipCorrupt.
-func (t *Table[T]) ScanWhereAll(preds []zukowski.Pred[T], fn func(rows []int64, cols [][]T) bool, opts ...zukowski.ScanOption) error {
-	return t.ScanWhereAllContext(context.Background(), preds, fn, opts...)
-}
-
-// ScanWhereAllContext is ScanWhereAll under a context.
-func (t *Table[T]) ScanWhereAllContext(ctx context.Context, preds []zukowski.Pred[T], fn func(rows []int64, cols [][]T) bool, opts ...zukowski.ScanOption) error {
-	segs, starts, _, _, err := t.snapshot()
-	if err != nil {
-		return err
-	}
+// Run executes q across every committed segment in row order, invoking
+// fn once per block with surviving rows. Rows and block indices are
+// global: each segment's are offset by the rows and blocks of every
+// earlier segment, quarantined ones included. Each segment runs
+// zukowski.ColumnSet.Run with q unchanged, so Expr, Cols, Workers,
+// InOrder, SkipCorrupt and Report behave exactly as they do on a single
+// ColumnSet; with Workers >= 2 blocks of one segment run in parallel and
+// segments still run one after another. fn returning false stops the
+// scan (nil).
+//
+// The scan runs against the generation committed when it starts. q is
+// validated against the schema before any segment is touched. ctx is
+// checked between segments and, inside one, between blocks. A
+// quarantined segment fails the scan with ErrSegmentQuarantined, or —
+// under q.SkipCorrupt — is skipped with every one of its blocks and rows
+// recorded in q.Report.
+func (t *Table[T]) Run(ctx context.Context, q zukowski.Query[T], fn func(block int, rows []int64, cols [][]T) bool) error {
 	stopped := false
-	for i, seg := range segs {
-		if seg.quar != nil {
-			if !skipQuarantined(seg, opts) {
-				return seg.quar
-			}
-			continue
-		}
-		base := starts[i]
-		err := seg.set.ScanWhereAllContext(ctx, preds, func(rows []int64, cols [][]T) bool {
+	return t.eachSegment(ctx, &q, func(seg *segment[T], row int64, block int) (bool, error) {
+		err := seg.set.Run(ctx, q, func(b int, rows []int64, cols [][]T) bool {
 			for j := range rows {
-				rows[j] += base
+				rows[j] += row
 			}
-			if !fn(rows, cols) {
-				stopped = true
-				return false
-			}
-			return true
-		}, opts...)
-		if err != nil {
-			return err
-		}
-		if stopped {
-			return nil
-		}
-	}
-	return nil
+			stopped = !fn(block+b, rows, cols)
+			return !stopped
+		})
+		return !stopped, err
+	})
 }
 
-// ParallelScanWhereAll fans the scan out across segments and across
-// blocks within each segment, spending at most workers block-workers in
-// total. Like the single-set parallel scan, fn may be called from many
-// goroutines concurrently and block/row order is not deterministic;
-// block indices are global (the segment's first block is preceded by
-// every block of every earlier segment). fn returning false stops the
-// whole scan promptly but not instantly.
-func (t *Table[T]) ParallelScanWhereAll(preds []zukowski.Pred[T], workers int, fn func(block int, rows []int64, cols [][]T) bool, opts ...zukowski.ScanOption) error {
-	return t.ParallelScanWhereAllContext(context.Background(), preds, workers, fn, opts...)
-}
-
-// ParallelScanWhereAllContext is ParallelScanWhereAll under a context.
-func (t *Table[T]) ParallelScanWhereAllContext(ctx context.Context, preds []zukowski.Pred[T], workers int, fn func(block int, rows []int64, cols [][]T) bool, opts ...zukowski.ScanOption) error {
-	segs, starts, _, _, err := t.snapshot()
-	if err != nil {
-		return err
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Global block base per segment, from the committed geometry.
-	blockBase := make([]int, len(segs))
-	nb := 0
-	for i, seg := range segs {
-		blockBase[i] = nb
-		nb += len(seg.counts)
-	}
-	live := make([]int, 0, len(segs))
-	for i, seg := range segs {
-		if seg.quar != nil {
-			if !skipQuarantined(seg, opts) {
-				return seg.quar
-			}
-			continue
-		}
-		live = append(live, i)
-	}
-	if len(live) == 0 {
-		return nil
-	}
-
-	// Spread workers over segment-claiming goroutines: segConc segments
-	// in flight, each scanned with perSeg block-workers.
-	segConc := workers
-	if segConc > len(live) {
-		segConc = len(live)
-	}
-	perSeg := workers / segConc
-	if perSeg < 1 {
-		perSeg = 1
-	}
-
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		next     atomic.Int64
-		stopped  atomic.Bool
-		firstErr error
-		errOnce  sync.Once
-		wg       sync.WaitGroup
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		cancel()
-	}
-	for g := 0; g < segConc; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(live) || sctx.Err() != nil {
-					return
-				}
-				i := live[k]
-				seg, rowBase, blkBase := segs[i], starts[i], blockBase[i]
-				err := seg.set.ParallelScanWhereAllContext(sctx, preds, perSeg, func(block int, rows []int64, cols [][]T) bool {
-					for j := range rows {
-						rows[j] += rowBase
-					}
-					if !fn(blkBase+block, rows, cols) {
-						stopped.Store(true)
-						cancel()
-						return false
-					}
-					return true
-				}, opts...)
-				if err != nil && !(stopped.Load() && err == sctx.Err()) {
-					fail(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if err := ctx.Err(); err != nil && !stopped.Load() {
-		return err
-	}
-	return nil
-}
-
-// AggregateWhereAll computes count/sum/min/max of column col over rows
-// matching every predicate, folded across all segments. Quarantine
-// semantics match ScanWhereAll.
-func (t *Table[T]) AggregateWhereAll(preds []zukowski.Pred[T], col int, opts ...zukowski.ScanOption) (zukowski.Aggregate[T], error) {
-	return t.AggregateWhereAllContext(context.Background(), preds, col, opts...)
-}
-
-// AggregateWhereAllContext is AggregateWhereAll under a context.
-func (t *Table[T]) AggregateWhereAllContext(ctx context.Context, preds []zukowski.Pred[T], col int, opts ...zukowski.ScanOption) (zukowski.Aggregate[T], error) {
+// RunAggregate computes Count, Sum, Min and Max of column col over the
+// rows q selects, folded across every committed segment. Query fields,
+// validation, cancellation and quarantine handling are those of Run.
+func (t *Table[T]) RunAggregate(ctx context.Context, q zukowski.Query[T], col int) (zukowski.Aggregate[T], error) {
 	var out zukowski.Aggregate[T]
-	segs, _, _, _, err := t.snapshot()
-	if err != nil {
-		return out, err
+	if col < 0 || col >= len(t.cols) {
+		return out, fmt.Errorf("%w: aggregate column %d not in [0,%d)", zukowski.ErrIndexOutOfRange, col, len(t.cols))
 	}
-	for _, seg := range segs {
-		if seg.quar != nil {
-			if !skipQuarantined(seg, opts) {
-				return out, seg.quar
-			}
-			continue
-		}
-		agg, err := seg.set.AggregateWhereAllContext(ctx, preds, col, opts...)
-		if err != nil {
-			return out, err
-		}
-		if agg.Count == 0 {
-			continue
+	err := t.eachSegment(ctx, &q, func(seg *segment[T], _ int64, _ int) (bool, error) {
+		agg, err := seg.set.RunAggregate(ctx, q, col)
+		if err != nil || agg.Count == 0 {
+			return true, err
 		}
 		if out.Count == 0 {
 			out = agg
-			continue
+		} else {
+			out.Count += agg.Count
+			out.Sum += agg.Sum
+			out.Min = min(out.Min, agg.Min)
+			out.Max = max(out.Max, agg.Max)
 		}
-		out.Count += agg.Count
-		out.Sum += agg.Sum
-		if agg.Min < out.Min {
-			out.Min = agg.Min
-		}
-		if agg.Max > out.Max {
-			out.Max = agg.Max
-		}
+		return true, nil
+	})
+	if err != nil {
+		return zukowski.Aggregate[T]{}, err
 	}
 	return out, nil
+}
+
+// AggregateWhereAll is RunAggregate over the conjunction preds, with no
+// other query option.
+func (t *Table[T]) AggregateWhereAll(preds []zukowski.Pred[T], col int) (zukowski.Aggregate[T], error) {
+	return t.RunAggregate(context.Background(), zukowski.Query[T]{Preds: preds}, col)
+}
+
+// eachSegment is the segment walk behind Run and RunAggregate. It
+// validates q against the schema, snapshots the committed segments once,
+// and calls visit for each in-service segment in row order with the
+// segment's first global row and block. Quarantined segments fail the
+// walk, or under q.SkipCorrupt are accounted block by block in q.Report.
+// visit returning false or an error ends the walk.
+func (t *Table[T]) eachSegment(ctx context.Context, q *zukowski.Query[T], visit func(seg *segment[T], row int64, block int) (bool, error)) error {
+	if err := q.Validate(len(t.cols)); err != nil {
+		return err
+	}
+	segs, starts, _, err := t.snapshot()
+	if err != nil {
+		return err
+	}
+	block := 0
+	for i, seg := range segs {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		first := block
+		block += len(seg.counts)
+		if seg.quar != nil {
+			if !q.SkipCorrupt {
+				return seg.quar
+			}
+			for _, c := range seg.counts {
+				q.Report.Record(int(c), seg.quar)
+			}
+			continue
+		}
+		if more, err := visit(seg, starts[i], first); err != nil || !more {
+			return err
+		}
+	}
+	return nil
 }

@@ -476,13 +476,13 @@ func (t *Table[T]) salvageSegment(sm *segMeta) error {
 // snapshot returns the published state scans run against. The slices are
 // never mutated after publication (commits replace them wholesale), so
 // holding them outside the lock is safe.
-func (t *Table[T]) snapshot() (segs []*segment[T], starts []int64, gen uint64, rows int64, err error) {
+func (t *Table[T]) snapshot() (segs []*segment[T], starts []int64, rows int64, err error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if t.closed {
-		return nil, nil, 0, 0, ErrClosed
+		return nil, nil, 0, ErrClosed
 	}
-	return t.segs, t.starts, t.man.Generation, t.rows, nil
+	return t.segs, t.starts, t.rows, nil
 }
 
 // Generation returns the committed generation scans currently see.

@@ -1,13 +1,12 @@
 package zktable_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/zktable"
@@ -87,15 +86,15 @@ func scanOracle(cols [][]int64, preds []zukowski.Pred[int64]) (rows []int64, wan
 	return rows, want
 }
 
-func countRows(t *testing.T, tb *zktable.Table[int64], opts ...zukowski.ScanOption) int64 {
+func countRows(t *testing.T, tb *zktable.Table[int64]) int64 {
 	t.Helper()
 	var n int64
-	err := tb.ScanWhereAll(nil, func(rows []int64, _ [][]int64) bool {
+	err := tb.Run(context.Background(), zukowski.Query[int64]{}, func(_ int, rows []int64, _ [][]int64) bool {
 		n += int64(len(rows))
 		return true
-	}, opts...)
+	})
 	if err != nil {
-		t.Fatalf("ScanWhereAll: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	return n
 }
@@ -125,7 +124,7 @@ func TestCreateAppendScanRoundtrip(t *testing.T) {
 	wantRows, wantCols := scanOracle(all, preds)
 	var gotRows []int64
 	gotCols := make([][]int64, len(all))
-	err := tb.ScanWhereAll(preds, func(rows []int64, cols [][]int64) bool {
+	err := tb.Run(context.Background(), zukowski.Query[int64]{Preds: preds}, func(_ int, rows []int64, cols [][]int64) bool {
 		gotRows = append(gotRows, rows...)
 		for ci := range cols {
 			gotCols[ci] = append(gotCols[ci], cols[ci]...)
@@ -133,7 +132,7 @@ func TestCreateAppendScanRoundtrip(t *testing.T) {
 		return true
 	})
 	if err != nil {
-		t.Fatalf("ScanWhereAll: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if len(gotRows) != len(wantRows) {
 		t.Fatalf("scan returned %d rows, oracle %d", len(gotRows), len(wantRows))
@@ -171,7 +170,7 @@ func TestCreateAppendScanRoundtrip(t *testing.T) {
 
 	// Early stop.
 	calls := 0
-	if err := tb.ScanWhereAll(nil, func(rows []int64, _ [][]int64) bool {
+	if err := tb.Run(context.Background(), zukowski.Query[int64]{}, func(int, []int64, [][]int64) bool {
 		calls++
 		return false
 	}); err != nil {
@@ -196,61 +195,6 @@ func TestCreateAppendScanRoundtrip(t *testing.T) {
 	}
 	if got := countRows(t, tb2); got != total {
 		t.Fatalf("reopened scan saw %d rows, want %d", got, total)
-	}
-}
-
-func TestParallelScanWhereAllEquivalence(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "tbl")
-	tb := mustCreate(t, dir, zktable.Options{})
-	defer tb.Close()
-	segA, segB := synthCols(10, 3000), synthCols(11, 1800)
-	mustAppend(t, tb, segA)
-	mustAppend(t, tb, segB)
-	all := appendAll(segA, segB)
-
-	preds := []zukowski.Pred[int64]{{Col: 1, Lo: 0, Hi: 750}}
-	wantRows, _ := scanOracle(all, preds)
-
-	var mu sync.Mutex
-	var gotRows []int64
-	blocks := map[int]bool{}
-	err := tb.ParallelScanWhereAll(preds, 4, func(block int, rows []int64, cols [][]int64) bool {
-		mu.Lock()
-		gotRows = append(gotRows, rows...)
-		blocks[block] = true
-		mu.Unlock()
-		return true
-	})
-	if err != nil {
-		t.Fatalf("ParallelScanWhereAll: %v", err)
-	}
-	sort.Slice(gotRows, func(i, j int) bool { return gotRows[i] < gotRows[j] })
-	if len(gotRows) != len(wantRows) {
-		t.Fatalf("parallel scan returned %d rows, oracle %d", len(gotRows), len(wantRows))
-	}
-	for i := range gotRows {
-		if gotRows[i] != wantRows[i] {
-			t.Fatalf("sorted row %d: got %d, want %d", i, gotRows[i], wantRows[i])
-		}
-	}
-	// Global block indices must be distinct across segments.
-	nb := (len(segA[0])+testBV-1)/testBV + (len(segB[0])+testBV-1)/testBV
-	for b := range blocks {
-		if b < 0 || b >= nb {
-			t.Fatalf("block index %d outside [0,%d)", b, nb)
-		}
-	}
-
-	// Early stop terminates promptly and without error.
-	var fired atomic.Int64
-	if err := tb.ParallelScanWhereAll(nil, 4, func(_ int, rows []int64, _ [][]int64) bool {
-		fired.Add(1)
-		return false
-	}); err != nil {
-		t.Fatalf("early-stop parallel scan: %v", err)
-	}
-	if fired.Load() == 0 {
-		t.Fatal("early-stop parallel scan never delivered")
 	}
 }
 
@@ -283,7 +227,7 @@ func TestCompact(t *testing.T) {
 	preds := []zukowski.Pred[int64]{{Col: 2, Lo: 0, Hi: 31}}
 	wantRows, _ := scanOracle(all, preds)
 	var got int64
-	if err := tb.ScanWhereAll(preds, func(rows []int64, _ [][]int64) bool {
+	if err := tb.Run(context.Background(), zukowski.Query[int64]{Preds: preds}, func(_ int, rows []int64, _ [][]int64) bool {
 		got += int64(len(rows))
 		return true
 	}); err != nil {
@@ -355,18 +299,14 @@ func TestTableConcurrentIngestScan(t *testing.T) {
 				default:
 				}
 				var n int64
-				var err error
+				q := zukowski.Query[int64]{}
 				if g == 0 {
-					err = tb.ParallelScanWhereAll(nil, 4, func(_ int, rows []int64, _ [][]int64) bool {
-						atomic.AddInt64(&n, int64(len(rows)))
-						return true
-					})
-				} else {
-					err = tb.ScanWhereAll(nil, func(rows []int64, _ [][]int64) bool {
-						n += int64(len(rows))
-						return true
-					})
+					q.Workers = 4
 				}
+				err := tb.Run(context.Background(), q, func(_ int, rows []int64, _ [][]int64) bool {
+					n += int64(len(rows))
+					return true
+				})
 				if err != nil {
 					t.Errorf("concurrent scan: %v", err)
 					return
@@ -425,7 +365,7 @@ func TestOpenErrors(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	tb2.Close()
-	if err := tb2.ScanWhereAll(nil, func([]int64, [][]int64) bool { return true }); !errors.Is(err, zktable.ErrClosed) {
+	if err := tb2.Run(context.Background(), zukowski.Query[int64]{}, func(int, []int64, [][]int64) bool { return true }); !errors.Is(err, zktable.ErrClosed) {
 		t.Fatalf("scan after close: %v, want ErrClosed", err)
 	}
 	if _, err := tb2.Append(synthCols(41, 10)); !errors.Is(err, zktable.ErrClosed) {

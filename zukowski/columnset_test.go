@@ -11,10 +11,10 @@ import (
 	"repro/zukowski"
 )
 
-// oracleWhereAll is the decode-then-filter reference of a conjunctive
+// oracleConj is the decode-then-filter reference of a conjunctive
 // scan: decode every column in full, keep the rows where every predicate
 // holds, and return their row numbers plus each column's values there.
-func oracleWhereAll[T zukowski.Integer](t testing.TB, cols []*zukowski.ColumnReader[T], preds []zukowski.Pred[T]) (rows []int64, vals [][]T) {
+func oracleConj[T zukowski.Integer](t testing.TB, cols []*zukowski.ColumnReader[T], preds []zukowski.Pred[T]) (rows []int64, vals [][]T) {
 	t.Helper()
 	all := make([][]T, len(cols))
 	for i, cr := range cols {
@@ -43,17 +43,17 @@ func oracleWhereAll[T zukowski.Integer](t testing.TB, cols []*zukowski.ColumnRea
 	return rows, vals
 }
 
-// collectWhereAll gathers a full ScanWhereAll pass, checking the batch
-// shape contract along the way.
-func collectWhereAll[T zukowski.Integer](t testing.TB, cs *zukowski.ColumnSet[T], preds []zukowski.Pred[T]) (rows []int64, vals [][]T) {
+// collectRun gathers a full Run pass over the conjunction, checking the
+// batch shape contract along the way.
+func collectRun[T zukowski.Integer](t testing.TB, cs *zukowski.ColumnSet[T], preds []zukowski.Pred[T]) (rows []int64, vals [][]T) {
 	t.Helper()
 	vals = make([][]T, cs.Columns())
-	err := cs.ScanWhereAll(preds, func(r []int64, cols [][]T) bool {
+	err := cs.Run(context.Background(), zukowski.Query[T]{Preds: preds}, func(_ int, r []int64, cols [][]T) bool {
 		if len(r) == 0 {
-			t.Fatal("ScanWhereAll delivered an empty batch")
+			t.Fatal("Run delivered an empty batch")
 		}
 		if len(cols) != cs.Columns() {
-			t.Fatalf("ScanWhereAll handed %d columns, set has %d", len(cols), cs.Columns())
+			t.Fatalf("Run handed %d columns, set has %d", len(cols), cs.Columns())
 		}
 		for c := range cols {
 			if len(cols[c]) != len(r) {
@@ -70,10 +70,10 @@ func collectWhereAll[T zukowski.Integer](t testing.TB, cs *zukowski.ColumnSet[T]
 	return rows, vals
 }
 
-func checkWhereAll[T zukowski.Integer](t *testing.T, cs *zukowski.ColumnSet[T], cols []*zukowski.ColumnReader[T], preds []zukowski.Pred[T]) {
+func checkConj[T zukowski.Integer](t *testing.T, cs *zukowski.ColumnSet[T], cols []*zukowski.ColumnReader[T], preds []zukowski.Pred[T]) {
 	t.Helper()
-	wantRows, wantVals := oracleWhereAll(t, cols, preds)
-	gotRows, gotVals := collectWhereAll(t, cs, preds)
+	wantRows, wantVals := oracleConj(t, cols, preds)
+	gotRows, gotVals := collectRun(t, cs, preds)
 	if !slices.Equal(gotRows, wantRows) {
 		t.Fatalf("preds %v: rows mismatch: got %d, want %d", preds, len(gotRows), len(wantRows))
 	}
@@ -85,7 +85,7 @@ func checkWhereAll[T zukowski.Integer](t *testing.T, cs *zukowski.ColumnSet[T], 
 
 	// The aggregate over each column must fold exactly the oracle's values.
 	for c := range cols {
-		agg, err := cs.AggregateWhereAll(preds, c)
+		agg, err := cs.RunAggregate(context.Background(), zukowski.Query[T]{Preds: preds}, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func checkWhereAll[T zukowski.Integer](t *testing.T, cs *zukowski.ColumnSet[T], 
 			want.Sum += int64(v)
 		}
 		if agg != want {
-			t.Fatalf("preds %v col %d: AggregateWhereAll = %+v, want %+v", preds, c, agg, want)
+			t.Fatalf("preds %v col %d: RunAggregate = %+v, want %+v", preds, c, agg, want)
 		}
 	}
 }
@@ -161,7 +161,7 @@ func TestScanWhereAllOracle(t *testing.T) {
 			{{Col: 2, Lo: 100, Hi: 120}, {Col: 0, Lo: 0, Hi: 600}},       // zone-prunable first
 		}
 		for _, preds := range predSets {
-			checkWhereAll(t, cs, cols, preds)
+			checkConj(t, cs, cols, preds)
 		}
 	}
 }
@@ -197,7 +197,7 @@ func TestScanWhereAllEdgeGeometry(t *testing.T) {
 				{{Col: 0, Lo: 0, Hi: 300}, {Col: 1, Lo: 0, Hi: 300}},
 				{{Col: 0, Lo: a[tc.n-1], Hi: a[tc.n-1]}}, // the very last row's value
 			} {
-				checkWhereAll(t, cs, []*zukowski.ColumnReader[int64]{colA, colB}, preds)
+				checkConj(t, cs, []*zukowski.ColumnReader[int64]{colA, colB}, preds)
 			}
 		})
 	}
@@ -235,10 +235,10 @@ func TestColumnSetMismatch(t *testing.T) {
 
 	// Predicate addressing a column outside the set is a typed error.
 	bad := []zukowski.Pred[int64]{{Col: 2, Lo: 0, Hi: 10}}
-	if err := cs.ScanWhereAll(bad, func([]int64, [][]int64) bool { return true }); !errors.Is(err, zukowski.ErrIndexOutOfRange) {
+	if err := cs.Run(context.Background(), zukowski.Query[int64]{Preds: bad}, func(int, []int64, [][]int64) bool { return true }); !errors.Is(err, zukowski.ErrIndexOutOfRange) {
 		t.Fatalf("out-of-range predicate column: %v, want ErrIndexOutOfRange", err)
 	}
-	if _, err := cs.AggregateWhereAll(nil, 5); !errors.Is(err, zukowski.ErrIndexOutOfRange) {
+	if _, err := cs.RunAggregate(context.Background(), zukowski.Query[int64]{}, 5); !errors.Is(err, zukowski.ErrIndexOutOfRange) {
 		t.Fatalf("out-of-range aggregate column: %v, want ErrIndexOutOfRange", err)
 	}
 }
@@ -261,7 +261,7 @@ func TestParallelScanWhereAllMatchesSequential(t *testing.T) {
 
 	seq := map[int]csBatch{}
 	var seqOrder []int
-	if err := cs.ParallelScanWhereAll(preds, 1, func(blk int, rows []int64, cols [][]int64) bool {
+	if err := cs.Run(context.Background(), zukowski.Query[int64]{Preds: preds, Workers: 1}, func(blk int, rows []int64, cols [][]int64) bool {
 		seq[blk] = csBatch{slices.Clone(rows), slices.Clone(cols[0]), slices.Clone(cols[1])}
 		seqOrder = append(seqOrder, blk)
 		return true
@@ -276,11 +276,11 @@ func TestParallelScanWhereAllMatchesSequential(t *testing.T) {
 		// Ordered: identical sequence of (block, rows, values).
 		var order []int
 		got := map[int]csBatch{}
-		if err := cs.ParallelScanWhereAll(preds, workers, func(blk int, rows []int64, cols [][]int64) bool {
+		if err := cs.Run(context.Background(), zukowski.Query[int64]{Preds: preds, Workers: workers, InOrder: true}, func(blk int, rows []int64, cols [][]int64) bool {
 			order = append(order, blk)
 			got[blk] = csBatch{slices.Clone(rows), slices.Clone(cols[0]), slices.Clone(cols[1])}
 			return true
-		}, zukowski.InOrder()); err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(order, seqOrder) {
@@ -290,7 +290,7 @@ func TestParallelScanWhereAllMatchesSequential(t *testing.T) {
 
 		// Unordered: same multiset of per-block batches.
 		got = map[int]csBatch{}
-		if err := cs.ParallelScanWhereAll(preds, workers, func(blk int, rows []int64, cols [][]int64) bool {
+		if err := cs.Run(context.Background(), zukowski.Query[int64]{Preds: preds, Workers: workers}, func(blk int, rows []int64, cols [][]int64) bool {
 			got[blk] = csBatch{slices.Clone(rows), slices.Clone(cols[0]), slices.Clone(cols[1])}
 			return true
 		}); err != nil {
@@ -301,7 +301,7 @@ func TestParallelScanWhereAllMatchesSequential(t *testing.T) {
 
 	// Early stop: at most one more delivery after false.
 	deliveries := 0
-	if err := cs.ParallelScanWhereAll(preds, 4, func(int, []int64, [][]int64) bool {
+	if err := cs.Run(context.Background(), zukowski.Query[int64]{Preds: preds, Workers: 4}, func(int, []int64, [][]int64) bool {
 		deliveries++
 		return false
 	}); err != nil {
@@ -365,14 +365,14 @@ func TestScanWhereAllCorruptBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	preds := []zukowski.Pred[int64]{{Col: 0, Lo: 0, Hi: 999}, {Col: 1, Lo: 0, Hi: 999}}
-	if err := cs.ScanWhereAll(preds, func([]int64, [][]int64) bool { return true }); !errors.Is(err, zukowski.ErrChecksumMismatch) {
-		t.Fatalf("ScanWhereAll on corrupt column: %v, want ErrChecksumMismatch", err)
+	if err := cs.Run(context.Background(), zukowski.Query[int64]{Preds: preds}, func(int, []int64, [][]int64) bool { return true }); !errors.Is(err, zukowski.ErrChecksumMismatch) {
+		t.Fatalf("Run on corrupt column: %v, want ErrChecksumMismatch", err)
 	}
-	if err := cs.ParallelScanWhereAll(preds, 4, func(int, []int64, [][]int64) bool { return true }); !errors.Is(err, zukowski.ErrChecksumMismatch) {
-		t.Fatalf("ParallelScanWhereAll on corrupt column: %v, want ErrChecksumMismatch", err)
+	if err := cs.Run(context.Background(), zukowski.Query[int64]{Preds: preds, Workers: 4}, func(int, []int64, [][]int64) bool { return true }); !errors.Is(err, zukowski.ErrChecksumMismatch) {
+		t.Fatalf("parallel Run on corrupt column: %v, want ErrChecksumMismatch", err)
 	}
-	if _, err := cs.AggregateWhereAll(preds, 1); !errors.Is(err, zukowski.ErrChecksumMismatch) {
-		t.Fatalf("AggregateWhereAll on corrupt column: %v, want ErrChecksumMismatch", err)
+	if _, err := cs.RunAggregate(context.Background(), zukowski.Query[int64]{Preds: preds}, 1); !errors.Is(err, zukowski.ErrChecksumMismatch) {
+		t.Fatalf("RunAggregate on corrupt column: %v, want ErrChecksumMismatch", err)
 	}
 }
 
@@ -407,13 +407,13 @@ func TestScanWhereAllZKC1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkWhereAll(t, cs, []*zukowski.ColumnReader[int64]{colA, colB},
+	checkConj(t, cs, []*zukowski.ColumnReader[int64]{colA, colB},
 		[]zukowski.Pred[int64]{{Col: 0, Lo: 0, Hi: 600}, {Col: 1, Lo: 0, Hi: 600}})
 }
 
-// TestScanWhereAllSteadyStateAllocs pins the 0 allocs/op contract of
-// warmed sequential conjunctive scans and aggregates, RunAggregate with
-// an optionless Query included.
+// TestScanWhereAllSteadyStateAllocs pins the 0 allocs/op contract of a
+// warmed sequential Run and RunAggregate over an optionless
+// Query{Preds}.
 func TestScanWhereAllSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation exactness is asserted in the non-race run")
@@ -438,25 +438,26 @@ func TestScanWhereAllSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		preds := []zukowski.Pred[int64]{{Col: 0, Lo: 10, Hi: 400}, {Col: 1, Lo: 10, Hi: 2000}}
+		ctx, q := context.Background(), zukowski.Query[int64]{Preds: preds}
 		scan := func() {
-			if err := cs.ScanWhereAll(preds, func([]int64, [][]int64) bool { return true }); err != nil {
+			if err := cs.Run(ctx, q, func(int, []int64, [][]int64) bool { return true }); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := cs.AggregateWhereAll(preds, 1); err != nil {
+			if _, err := cs.RunAggregate(ctx, q, 1); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := cs.RunAggregate(context.Background(), zukowski.Query[int64]{Preds: preds}, 0); err != nil {
+			if _, err := cs.RunAggregate(ctx, q, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
 		scan() // warm the pooled state and verification latches
 		if avg := testing.AllocsPerRun(20, scan); avg != 0 {
-			t.Errorf("%s+%s: %v allocs/op on warmed ScanWhereAll+AggregateWhereAll+RunAggregate, want 0", mix[0], mix[1], avg)
+			t.Errorf("%s+%s: %v allocs/op on warmed Run+RunAggregate, want 0", mix[0], mix[1], avg)
 		}
 	}
 }
 
-func BenchmarkScanWhereAll(b *testing.B) {
+func BenchmarkConjunctiveRun(b *testing.B) {
 	rng := rand.New(rand.NewSource(36))
 	const n = 1 << 20
 	av := synthColumn(rng, n)
@@ -471,11 +472,11 @@ func BenchmarkScanWhereAll(b *testing.B) {
 	// ~10% per column => ~1% conjunctive.
 	preds := []zukowski.Pred[int64]{{Col: 0, Lo: 0, Hi: 400}, {Col: 1, Lo: 0, Hi: 400}}
 
-	b.Run("ScanWhereAll-1pct", func(b *testing.B) {
+	b.Run("Run-1pct", func(b *testing.B) {
 		b.SetBytes(raw)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := cs.ScanWhereAll(preds, func([]int64, [][]int64) bool { return true }); err != nil {
+			if err := cs.Run(context.Background(), zukowski.Query[int64]{Preds: preds}, func(int, []int64, [][]int64) bool { return true }); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -510,11 +511,11 @@ func BenchmarkScanWhereAll(b *testing.B) {
 			}
 		}
 	})
-	b.Run("AggregateWhereAll-1pct", func(b *testing.B) {
+	b.Run("RunAggregate-1pct", func(b *testing.B) {
 		b.SetBytes(raw)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := cs.AggregateWhereAll(preds, 1); err != nil {
+			if _, err := cs.RunAggregate(context.Background(), zukowski.Query[int64]{Preds: preds}, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

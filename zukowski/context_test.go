@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -38,65 +39,65 @@ func buildCtxSet(t *testing.T) (*zukowski.ColumnSet[int64], []zukowski.Pred[int6
 	return set, preds
 }
 
-// TestScanWhereAllContextEquivalence: a background context changes
-// nothing — same rows, same values as the context-free scan.
+// collectCtxRows runs q under ctx and returns every delivered row.
+func collectCtxRows(t *testing.T, ctx context.Context, set *zukowski.ColumnSet[int64], q zukowski.Query[int64]) []int64 {
+	t.Helper()
+	var rows []int64
+	if err := set.Run(ctx, q, func(_ int, r []int64, _ [][]int64) bool {
+		rows = append(rows, r...)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// TestScanWhereAllContextEquivalence: a live context that never fires
+// changes nothing — Run delivers the same rows as under
+// context.Background().
 func TestScanWhereAllContextEquivalence(t *testing.T) {
 	set, preds := buildCtxSet(t)
-	var wantRows, gotRows []int64
-	if err := set.ScanWhereAll(preds, func(rows []int64, _ [][]int64) bool {
-		wantRows = append(wantRows, rows...)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := set.ScanWhereAllContext(context.Background(), preds, func(rows []int64, _ [][]int64) bool {
-		gotRows = append(gotRows, rows...)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(wantRows) != len(gotRows) {
-		t.Fatalf("context scan delivered %d rows, context-free %d", len(gotRows), len(wantRows))
-	}
-	for i := range wantRows {
-		if wantRows[i] != gotRows[i] {
-			t.Fatalf("row %d: context scan %d != context-free %d", i, gotRows[i], wantRows[i])
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	q := zukowski.Query[int64]{Preds: preds}
+	want := collectCtxRows(t, context.Background(), set, q)
+	if got := collectCtxRows(t, ctx, set, q); !slices.Equal(got, want) {
+		t.Fatalf("Run under a live context delivered %d rows, under Background %d", len(got), len(want))
 	}
 }
 
-// TestScanWhereAllContextCancelled: a pre-cancelled context stops the
-// scan before any delivery, returning context.Canceled.
+// TestScanWhereAllContextCancelled: a pre-cancelled context stops Run and
+// RunAggregate, sequential and parallel, before any delivery, returning
+// context.Canceled.
 func TestScanWhereAllContextCancelled(t *testing.T) {
 	set, preds := buildCtxSet(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	calls := 0
-	err := set.ScanWhereAllContext(ctx, preds, func([]int64, [][]int64) bool { calls++; return true })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if calls != 0 {
-		t.Fatalf("fn called %d times under a dead context", calls)
-	}
-	if _, err := set.AggregateWhereAllContext(ctx, preds, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("aggregate err = %v, want context.Canceled", err)
-	}
-	err = set.ParallelScanWhereAllContext(ctx, preds, 4, func(int, []int64, [][]int64) bool { return true })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("parallel err = %v, want context.Canceled", err)
+	for _, workers := range []int{1, 4} {
+		q := zukowski.Query[int64]{Preds: preds, Workers: workers}
+		calls := 0
+		err := set.Run(ctx, q, func(int, []int64, [][]int64) bool { calls++; return true })
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: Run err = %v, want context.Canceled", workers, err)
+		}
+		if calls != 0 {
+			t.Fatalf("workers=%d: fn called %d times under a dead context", workers, calls)
+		}
+		if _, err := set.RunAggregate(ctx, q, 0); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: RunAggregate err = %v, want context.Canceled", workers, err)
+		}
 	}
 }
 
-// TestScanWhereAllContextMidScan: cancelling from inside fn stops the
-// scan at the next block boundary — fn sees no delivery after the cancel
-// — and the scan returns context.Canceled, distinguishing budget kills
-// from fn's own voluntary early stop (which returns nil).
+// TestScanWhereAllContextMidScan: cancelling from inside fn stops Run at
+// the next block boundary — fn sees no delivery after the cancel — and
+// the scan returns context.Canceled, distinguishing budget kills from
+// fn's own voluntary early stop (which returns nil).
 func TestScanWhereAllContextMidScan(t *testing.T) {
 	set, preds := buildCtxSet(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	deliveries, after := 0, 0
-	err := set.ScanWhereAllContext(ctx, preds, func([]int64, [][]int64) bool {
+	err := set.Run(ctx, zukowski.Query[int64]{Preds: preds}, func(int, []int64, [][]int64) bool {
 		if ctx.Err() != nil {
 			after++
 		}
@@ -115,28 +116,29 @@ func TestScanWhereAllContextMidScan(t *testing.T) {
 }
 
 // TestScanWhereAllContextDeadline: an already-expired deadline surfaces
-// as context.DeadlineExceeded from all three entry points.
+// as context.DeadlineExceeded from Run and RunAggregate.
 func TestScanWhereAllContextDeadline(t *testing.T) {
 	set, preds := buildCtxSet(t)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if err := set.ScanWhereAllContext(ctx, preds, func([]int64, [][]int64) bool { return true }); !errors.Is(err, context.DeadlineExceeded) {
+	q := zukowski.Query[int64]{Preds: preds}
+	if err := set.Run(ctx, q, func(int, []int64, [][]int64) bool { return true }); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	if _, err := set.AggregateWhereAllContext(ctx, preds, 1); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := set.RunAggregate(ctx, q, 1); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("aggregate err = %v, want context.DeadlineExceeded", err)
 	}
 }
 
 // TestParallelScanWhereAllContextMidScan: cancelling mid-flight stops a
-// parallel scan with context.Canceled and no deliveries after the pool
+// parallel Run with context.Canceled and no deliveries after the pool
 // drains.
 func TestParallelScanWhereAllContextMidScan(t *testing.T) {
 	set, preds := buildCtxSet(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var deliveries int
-	err := set.ParallelScanWhereAllContext(ctx, preds, 4, func(int, []int64, [][]int64) bool {
+	err := set.Run(ctx, zukowski.Query[int64]{Preds: preds, Workers: 4}, func(int, []int64, [][]int64) bool {
 		deliveries++
 		if deliveries == 2 {
 			cancel()

@@ -66,25 +66,25 @@
 // ColumnSet composes selection vectors across predicates and columns —
 // the conjunctive step of the paper's RAM-CPU query pipeline. Columns
 // sharing block geometry (same rows, same block boundaries; anything
-// else is ErrColumnSetMismatch) scan as one unit: ScanWhereAll evaluates
-// a []Pred conjunction per block by building a one-bit-per-row bitmap
-// with the compare kernels of the most selective predicate (ordered by a
+// else is ErrColumnSetMismatch) scan as one unit: Run evaluates a
+// []Pred conjunction per block by building a one-bit-per-row bitmap with
+// the compare kernels of the most selective predicate (ordered by a
 // zone-map estimate), intersecting it branch-free with each further
 // predicate's matches — 32-row groups the running bitmap has emptied are
 // skipped before a single code is extracted — and materializing only the
-// rows that survive every predicate, from every column. AggregateWhereAll
-// folds one column's survivors without delivering them;
-// ParallelScanWhereAll runs blocks across the shared worker-pool engine
-// with the ParallelScan delivery contract. Warmed sequential conjunctive
-// scans allocate nothing.
+// rows that survive every predicate, from every column. RunAggregate
+// folds one column's survivors without delivering them; with
+// Query.Workers >= 2 both run blocks across the shared worker-pool
+// engine with the ParallelScan delivery contract. Warmed sequential
+// conjunctive scans allocate nothing.
 //
 // # Expression queries, grouping and joins
 //
 // Query[T] is the one-struct form of every ColumnSet scan — predicate
 // (conjunction and/or expression tree), output columns, parallelism,
 // ordering and degraded-mode options — executed by Run and
-// RunAggregate; the ScanWhereAll-family entrypoints are thin wrappers
-// over it, so existing []Pred call sites are unchanged. Expr generalizes
+// RunAggregate, which consult their context once per block and stop
+// with ctx.Err() when it fires. Expr generalizes
 // the conjunction to an AND/OR tree of Range and In leaves (built with
 // And, Or, Range, In), evaluated entirely at the selection-bitmap
 // level: a disjunction is one word-wise union per 32 rows, AND branches

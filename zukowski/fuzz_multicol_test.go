@@ -2,6 +2,7 @@ package zukowski_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"slices"
@@ -15,10 +16,11 @@ import (
 // several element types, fuzzed block sizes, per-column predicate windows
 // picked from each column's own quantiles (including empty, inverted and
 // all-covering windows) — must agree exactly with the decode-then-filter
-// oracle through ScanWhereAll, AggregateWhereAll and ordered
-// ParallelScanWhereAll. The second column is a deterministic scramble of
-// the first, so the two bitmaps genuinely disagree and the refine path
-// (zero-group skips included) is exercised, not just self-intersection.
+// oracle through Run and RunAggregate, sequentially and on 2 or 4
+// workers delivering in block order or not. The second column is a
+// deterministic scramble of the first, so the two bitmaps genuinely
+// disagree and the refine path (zero-group skips included) is exercised,
+// not just self-intersection.
 func FuzzMultiColumnScan(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), uint8(0), uint8(255), uint8(30), uint8(220), uint8(3))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(1), uint8(2), uint8(1), uint8(10), uint8(200), uint8(0), uint8(255), uint8(1))
@@ -29,20 +31,24 @@ func FuzzMultiColumnScan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, codecA, codecB, typeSel, loA, hiA, loB, hiB, blockSel uint8) {
 		nameA := names[int(codecA)%len(names)]
 		nameB := names[int(codecB)%len(names)]
+		// typeSel also picks the parallel run's shape: 2 or 4 workers from
+		// bit 2, delivery order from bit 3.
+		workers := 2 << (typeSel >> 2 & 1)
+		inOrder := typeSel>>3&1 == 1
 		switch typeSel % 4 {
 		case 0:
-			fuzzMultiColumnScan[int64](t, nameA, nameB, data, loA, hiA, loB, hiB, blockSel)
+			fuzzMultiColumnScan[int64](t, nameA, nameB, data, loA, hiA, loB, hiB, blockSel, workers, inOrder)
 		case 1:
-			fuzzMultiColumnScan[uint8](t, nameA, nameB, data, loA, hiA, loB, hiB, blockSel)
+			fuzzMultiColumnScan[uint8](t, nameA, nameB, data, loA, hiA, loB, hiB, blockSel, workers, inOrder)
 		case 2:
-			fuzzMultiColumnScan[int16](t, nameA, nameB, data, loA, hiA, loB, hiB, blockSel)
+			fuzzMultiColumnScan[int16](t, nameA, nameB, data, loA, hiA, loB, hiB, blockSel, workers, inOrder)
 		case 3:
-			fuzzMultiColumnScan[uint32](t, nameA, nameB, data, loA, hiA, loB, hiB, blockSel)
+			fuzzMultiColumnScan[uint32](t, nameA, nameB, data, loA, hiA, loB, hiB, blockSel, workers, inOrder)
 		}
 	})
 }
 
-func fuzzMultiColumnScan[T zukowski.Integer](t *testing.T, nameA, nameB string, data []byte, loA, hiA, loB, hiB, blockSel uint8) {
+func fuzzMultiColumnScan[T zukowski.Integer](t *testing.T, nameA, nameB string, data []byte, loA, hiA, loB, hiB, blockSel uint8, workers int, inOrder bool) {
 	var valsA []T
 	for chunk := data; len(chunk) > 0; {
 		var tail [8]byte
@@ -119,25 +125,6 @@ func fuzzMultiColumnScan[T zukowski.Integer](t *testing.T, nameA, nameB string, 
 		}
 	}
 
-	var gotRows []int64
-	var gotA, gotB []T
-	if err := cs.ScanWhereAll(preds, func(r []int64, cols [][]T) bool {
-		gotRows = append(gotRows, r...)
-		gotA = append(gotA, cols[0]...)
-		gotB = append(gotB, cols[1]...)
-		return true
-	}); err != nil {
-		t.Fatalf("%s+%s: ScanWhereAll: %v", nameA, nameB, err)
-	}
-	if !slices.Equal(gotRows, wantRows) || !slices.Equal(gotA, wantA) || !slices.Equal(gotB, wantB) {
-		t.Fatalf("%s+%s [%v,%v]∧[%v,%v]: ScanWhereAll disagrees with oracle: got %d matches, want %d",
-			nameA, nameB, pA0, pA1, pB0, pB1, len(gotRows), len(wantRows))
-	}
-
-	agg, err := cs.AggregateWhereAll(preds, 1)
-	if err != nil {
-		t.Fatalf("%s+%s: AggregateWhereAll: %v", nameA, nameB, err)
-	}
 	var want zukowski.Aggregate[T]
 	for _, v := range wantB {
 		if want.Count == 0 {
@@ -148,20 +135,46 @@ func fuzzMultiColumnScan[T zukowski.Integer](t *testing.T, nameA, nameB string, 
 		want.Count++
 		want.Sum += int64(v)
 	}
-	if agg != want {
-		t.Fatalf("%s+%s: AggregateWhereAll = %+v, want %+v", nameA, nameB, agg, want)
-	}
 
-	gotRows, gotA, gotB = nil, nil, nil
-	if err := cs.ParallelScanWhereAll(preds, 2, func(_ int, r []int64, cols [][]T) bool {
-		gotRows = append(gotRows, r...)
-		gotA = append(gotA, cols[0]...)
-		gotB = append(gotB, cols[1]...)
-		return true
-	}, zukowski.InOrder()); err != nil {
-		t.Fatalf("%s+%s: ParallelScanWhereAll: %v", nameA, nameB, err)
+	// Every input runs sequentially and on the fuzzed worker pool. Run
+	// delivers whole blocks; unordered parallel deliveries are put back in
+	// block order before the comparison.
+	type batch struct {
+		block      int
+		rows       []int64
+		valA, valB []T
 	}
-	if !slices.Equal(gotRows, wantRows) || !slices.Equal(gotA, wantA) || !slices.Equal(gotB, wantB) {
-		t.Fatalf("%s+%s: ordered ParallelScanWhereAll disagrees with oracle", nameA, nameB)
+	for _, q := range []zukowski.Query[T]{{Preds: preds}, {Preds: preds, Workers: workers, InOrder: inOrder}} {
+		var got []batch
+		if err := cs.Run(context.Background(), q, func(block int, r []int64, cols [][]T) bool {
+			got = append(got, batch{block, slices.Clone(r), slices.Clone(cols[0]), slices.Clone(cols[1])})
+			return true
+		}); err != nil {
+			t.Fatalf("%s+%s workers=%d: Run: %v", nameA, nameB, q.Workers, err)
+		}
+		byBlock := func(x, y batch) int { return x.block - y.block }
+		if (q.InOrder || q.Workers < 2) && !slices.IsSortedFunc(got, byBlock) {
+			t.Fatalf("%s+%s workers=%d: ordered Run delivered blocks out of order", nameA, nameB, q.Workers)
+		}
+		slices.SortFunc(got, byBlock)
+		var gotRows []int64
+		var gotA, gotB []T
+		for _, g := range got {
+			gotRows = append(gotRows, g.rows...)
+			gotA = append(gotA, g.valA...)
+			gotB = append(gotB, g.valB...)
+		}
+		if !slices.Equal(gotRows, wantRows) || !slices.Equal(gotA, wantA) || !slices.Equal(gotB, wantB) {
+			t.Fatalf("%s+%s [%v,%v]∧[%v,%v] workers=%d inOrder=%v: Run disagrees with oracle: got %d matches, want %d",
+				nameA, nameB, pA0, pA1, pB0, pB1, q.Workers, q.InOrder, len(gotRows), len(wantRows))
+		}
+
+		agg, err := cs.RunAggregate(context.Background(), q, 1)
+		if err != nil {
+			t.Fatalf("%s+%s workers=%d: RunAggregate: %v", nameA, nameB, q.Workers, err)
+		}
+		if agg != want {
+			t.Fatalf("%s+%s workers=%d: RunAggregate = %+v, want %+v", nameA, nameB, q.Workers, agg, want)
+		}
 	}
 }

@@ -5,12 +5,12 @@ import (
 	"fmt"
 )
 
-// Query is the one-struct form of a ColumnSet scan: what to filter on,
-// what to materialize, and how to run. It subsumes the ScanWhereAll /
-// ParallelScanWhereAll / AggregateWhereAll entrypoint family — each of
-// those is now a thin wrapper constructing a Query — and is the only
-// form that reaches the expression tree: disjunctions, membership tests
-// and nested AND/OR composition all arrive through Expr.
+// Query is the one-struct form of a multi-column scan: what to filter on,
+// what to materialize, and how to run. ColumnSet.Run and RunAggregate
+// execute it over one set of columns, and zktable.Table.Run and
+// RunAggregate over every segment of a table. It is the only form that
+// reaches the expression tree: disjunctions, membership tests and nested
+// AND/OR composition all arrive through Expr.
 //
 // The zero Query selects every row of every column, sequentially, with
 // the fail-stop error contract.
@@ -22,8 +22,7 @@ type Query[T Integer] struct {
 
 	// Preds is the conjunctive range-predicate form; it composes with
 	// Expr by AND. The conjunction runs first, most-selective-first, and
-	// the expression tree refines its bitmap. Query{Preds: preds} is
-	// exactly the original ScanWhereAll contract.
+	// the expression tree refines its bitmap.
 	Preds []Pred[T]
 
 	// Cols names the columns to materialize, by set index, in the order
@@ -61,23 +60,39 @@ func (q *Query[T]) config() *scanConfig {
 	return &scanConfig{ordered: q.InOrder, skip: q.SkipCorrupt, report: q.Report}
 }
 
-// checkQuery validates every column reference in q and reports whether
-// the predicate conjunction is trivially empty.
-func (cs *ColumnSet[T]) checkQuery(q *Query[T]) (empty bool, err error) {
-	empty, err = cs.checkPreds(q.Preds)
-	if err != nil {
-		return false, err
-	}
-	if err := q.Expr.check(len(cs.cols)); err != nil {
-		return false, err
-	}
-	for _, ci := range q.Cols {
-		if ci < 0 || ci >= len(cs.cols) {
-			return false, fmt.Errorf("%w: output column %d not in [0,%d)",
-				ErrIndexOutOfRange, ci, len(cs.cols))
+// Validate checks every column reference in q — Preds, Expr leaves and
+// Cols — against a schema of cols columns, returning ErrIndexOutOfRange
+// for the first one outside [0, cols). Scans call it before touching any
+// data, so a bad query fails the same way whatever the data holds.
+func (q *Query[T]) Validate(cols int) error {
+	for _, p := range q.Preds {
+		if p.Col < 0 || p.Col >= cols {
+			return fmt.Errorf("%w: predicate column %d not in [0,%d)", ErrIndexOutOfRange, p.Col, cols)
 		}
 	}
-	return empty, nil
+	if err := q.Expr.check(cols); err != nil {
+		return err
+	}
+	for _, ci := range q.Cols {
+		if ci < 0 || ci >= cols {
+			return fmt.Errorf("%w: output column %d not in [0,%d)", ErrIndexOutOfRange, ci, cols)
+		}
+	}
+	return nil
+}
+
+// checkQuery validates q against the set and reports whether the
+// predicate conjunction is trivially empty (some Lo > Hi).
+func (cs *ColumnSet[T]) checkQuery(q *Query[T]) (empty bool, err error) {
+	if err := q.Validate(len(cs.cols)); err != nil {
+		return false, err
+	}
+	for _, p := range q.Preds {
+		if p.Lo > p.Hi {
+			return true, nil
+		}
+	}
+	return false, nil
 }
 
 // queryMatch returns q's block predicate: a block survives only if no
@@ -99,15 +114,24 @@ func (cs *ColumnSet[T]) queryMatch(q *Query[T]) func(b int) bool {
 // those rows. The slices are reused between calls; fn must copy what it
 // keeps. fn returning false stops the scan early (still returning nil).
 //
+// Blocks any predicate's zone map excludes are skipped unread; inside a
+// surviving block the most selective predicate (zone-map estimate) builds
+// the selection bitmap in the compressed code domain, each further
+// predicate refines it, and only rows passing the whole query are
+// materialized. A zero Query selects every row.
+//
 // Sequential runs (Workers < 2) deliver blocks in ascending order and
-// consult ctx once per block; a warmed sequential Run with no options
-// set performs no heap allocation, exactly like ScanWhereAll. Parallel
-// runs deliver serialized but unordered unless InOrder is set, and stop
-// claiming blocks once ctx is done.
+// consult ctx once per block, returning ctx.Err() (context.Canceled or
+// context.DeadlineExceeded) without starting another block. A warmed
+// sequential Run with no options set performs no heap allocation: the
+// scan holds one pooled state — per-column decode scratch, the bitmap,
+// and the output buffers — for its whole pass. Parallel runs deliver
+// serialized but unordered unless InOrder is set, stop claiming blocks
+// once ctx is done, and discard in-flight blocks undelivered.
 func (cs *ColumnSet[T]) Run(ctx context.Context, q Query[T], fn func(block int, rows []int64, cols [][]T) bool) error {
 	cfg := q.config()
 	if q.Workers > 1 {
-		return cs.runParallel(ctx, cfg, &q, q.Workers, fn)
+		return cs.runParallel(ctx, cfg, q, fn)
 	}
 	return cs.runSeq(ctx, cfg, &q, fn)
 }
